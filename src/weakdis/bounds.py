@@ -15,10 +15,16 @@ from scipy import optimize
 from scipy.integrate import dblquad, quad
 
 from . import partitions as pt
-from ._accum import fsum_c, fsum_r
+# fsum_c is unused here, but perfbench/tracer.py wraps this binding
+from ._accum import fsum_c, fsum_r  # noqa: F401
 from .coefficients import bhat_star_norms
 from .errors import BudgetError, ConfigError
-from .lattice import MomentumLattice, ProfileSpec, profile_fourier_periodized
+from .lattice import (
+    MomentumLattice,
+    ProfileSpec,
+    int_box,
+    profile_fourier_periodized,
+)
 from .report import BoundReport
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -202,8 +208,7 @@ def _big_window_data(profile: ProfileSpec, d: int, L: float, X: int,
             chunks_nu.append(0.5 * (pts[:, 0] ** 2))
             chunks_f.append(_abs_transform_values(profile, pts, L, truncated))
         else:
-            rest = np.meshgrid(*([side] * (d - 1)), indexing="ij")
-            rest = np.stack([g.ravel() for g in rest], axis=-1)
+            rest = int_box(d - 1, X)
             for m1 in side:
                 pts = np.concatenate(
                     [np.full((rest.shape[0], 1), m1), rest], axis=1) / L
@@ -337,9 +342,7 @@ def _weighted_square_sum(E, tau, eta, d, L, X):
         a2 = (side / L) ** 2
         total = fsum_r((1.0 + a2) ** (tau / 2.0) / ((a2 - E) ** 2 + eta**2))
     else:
-        rest = np.meshgrid(*([side] * (d - 1)), indexing="ij")
-        rest2 = np.sum(np.stack([g.ravel() for g in rest], axis=-1) ** 2,
-                       axis=-1)
+        rest2 = np.sum(int_box(d - 1, X) ** 2, axis=-1)
         parts = []
         for m1 in side:
             a2 = (m1**2 + rest2) / L**2
@@ -437,18 +440,8 @@ def main_error_bound_rhs(n: int, d: int, E: float, eta: float, lam: float,
         raise ConfigError("the residual bound needs a centered weight law")
     ct = c_tilde(E, d, profile, L_grid=L_grid)
     normB1 = profile.norm_l1(d)
-    ksq = 0.0
-    if n == 0:
-        ksq = 1.0
-    else:
-        for A in pt.enumerate_partitions(2 * n):
-            mw = 1.0
-            for block in A.blocks:
-                mw *= dist.moment(len(block))
-            if mw == 0.0:
-                continue
-            blocks = len(A.blocks)
-            ksq += normB1**blocks * abs(mw) * ct ** (2 * n - blocks)
+    ksq = sum((normB1**blocks * abs(mw) * ct ** (2 * n - blocks)
+               for _, mw, _, blocks in pt.live_partitions(2 * n, dist)), 0.0)
     K_n = math.sqrt(ksq)
     # wavepackets are unit-normalized in full space by construction, and the
     # box restriction only shrinks the norms, so 1 bounds both factors

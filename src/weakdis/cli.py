@@ -31,6 +31,7 @@ from .lattice import (
     build_lattice,
     fourier_decay_check,
 )
+from .report import holds
 
 STUDIES = ("expand", "mc-validate", "dos", "bounds", "scaling", "partitions")
 
@@ -164,9 +165,10 @@ def _write_csv(path: str, header, rows):
 
 
 def _write_json(path: str, obj):
+    # strict JSON: a NaN or an infinity raises here instead of being written
+    text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", newline="") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _meta_cols(meta: dict):
@@ -224,11 +226,15 @@ def cmd_expand(cfg, out_dir, threads, check):
 
 
 def _fit_loglog(lams, values, sigmas):
-    """OLS slope of log(values) vs log(lams) with propagated uncertainty."""
+    """OLS (slope, intercept, slope standard error) of log(values) vs
+    log(lams); all three are None when the fit is undefined (fewer than two
+    distinct lambdas, or a value that is not positive and finite)."""
     x = np.log(np.asarray(lams, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
+    if not (sxx > 0.0 and np.all(np.isfinite(y))):
+        return None, None, None
     coefs = (x - xbar) / sxx
     slope = float(np.sum(coefs * y))
     intercept = float(y.mean() - slope * xbar)
@@ -273,7 +279,7 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
         residual = abs(est.mean - partial)
         rhs = bnd.main_error_bound_rhs(n_keep, lattice.d, E, eta, lam,
                                        profile, dist, psi1, psi2)
-        ok = residual <= rhs + 3.0 * est.std_error
+        ok = holds(residual, rhs + 3.0 * est.std_error)
         all_bounded = all_bounded and ok
         residuals.append(residual)
         sigmas.append(est.std_error)
@@ -294,7 +300,7 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
     report = {
         "slope": slope,
         "slope_se": slope_se,
-        "slope_ci95": 1.96 * slope_se,
+        "slope_ci95": None if slope_se is None else 1.96 * slope_se,
         "expected_slope": expected,
         "intercept": intercept,
         "n_keep": n_keep,
@@ -305,10 +311,10 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
     }
     _write_json(os.path.join(out_dir, "mc_validate.json"), report)
     if check:
-        if abs(slope - expected) > 0.5:
+        if not holds(None if slope is None else abs(slope - expected), 0.5):
+            shown = "undefined" if slope is None else f"{slope:.3f}"
             raise CheckFailure(
-                f"residual scaling slope {slope:.3f} outside "
-                f"{expected} +- 0.5")
+                f"residual scaling slope {shown} outside {expected} +- 0.5")
         if not all_bounded:
             raise CheckFailure("a residual exceeded the bound + 3 sigma")
     return 0
@@ -354,7 +360,7 @@ def cmd_dos(cfg, out_dir, threads, check):
 
     gap = abs(total - est.mean)
     tol = 3.0 * est.std_error + surrogate
-    agree = gap <= tol
+    agree = holds(gap, tol)
 
     meta = _model_meta(cfg)
     mkeys, mvals = _meta_cols(meta)
@@ -385,7 +391,7 @@ def cmd_dos(cfg, out_dir, threads, check):
         if not agree:
             raise CheckFailure(
                 f"expansion-vs-MC gap {gap:.3e} over tolerance {tol:.3e}")
-        if check_routes and route_diff > 1e-8:
+        if check_routes and not holds(route_diff, 1e-8):
             raise CheckFailure(f"trace route difference {route_diff:.3e}")
     return 0
 
@@ -491,7 +497,7 @@ def cmd_scaling(cfg, out_dir, threads, check):
         rows.append([_fmt(lam), _fmt(eta), _fmt(rhs), _fmt(divided)])
     slope = float(np.polyfit(xs, ys, 1)[0])
     expected = bnd.scaling_exponent(n, eps)
-    within = abs(slope / expected - 1.0) <= 0.05 if expected != 0 else False
+    within = expected != 0 and holds(abs(slope / expected - 1.0), 0.05)
     _write_csv(os.path.join(out_dir, "scaling.csv"),
                ["lambda", "eta", "rhs", "rhs_div_log"], rows)
     _write_json(os.path.join(out_dir, "scaling.json"),

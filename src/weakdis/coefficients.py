@@ -13,8 +13,7 @@ expectation of the truncated-matrix Monte Carlo operator string identical
 term sets (the equality tests in the suite rely on this).
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .lattice import (
     ProfileSpec,
     Wavepacket,
     dist_to_spectrum,
-    nu,
+    int_box,
     profile_axis_envelope,
     profile_fourier_periodized,
     wavepacket_axis_envelope,
@@ -36,8 +35,6 @@ from .report import BoundReport
 
 DEFAULT_TERM_BUDGET = 50_000_000
 _CHUNK_ELEMS = 1 << 21
-
-_EMPTY = pt.SetPartition(n=0, blocks=())
 
 
 @dataclass
@@ -65,10 +62,7 @@ def bhat_difference_table(profile: ProfileSpec, lattice: MomentumLattice):
     key = ("bhat", profile, lattice)
     tab = _TABLE_CACHE.get(key)
     if tab is None:
-        K, d = lattice.K, lattice.d
-        axes = [np.arange(-2 * K, 2 * K + 1)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1) / lattice.L
+        pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
         tab = profile_fourier_periodized(profile, pts, lattice.L)
         tab.setflags(write=False)
         _TABLE_CACHE[key] = tab
@@ -115,9 +109,7 @@ def _chain_sum(A, lattice, btab, zs, *, sum_u0, psi_w=None, threads=1,
     n = A.n
     if len(zs) != n + 1:
         raise ConfigError("need one resolvent slot per chain position")
-    maps = pt.partition_maps(A)
-    free = list(maps.I)
-    m = len(free)
+    m = n - len(A.blocks)
     side = 4 * K + 1
     Nv = side ** (m * d)
     N = lattice.size
@@ -126,22 +118,9 @@ def _chain_sum(A, lattice, btab, zs, *, sum_u0, psi_w=None, threads=1,
             f"partition term needs {N * Nv:.3g} lattice terms, budget {budget:.3g}"
         )
 
-    if m:
-        axes = [np.arange(-2 * K, 2 * K + 1)] * (m * d)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vflat = np.stack([g.ravel() for g in mesh], axis=-1).reshape(Nv, m, d)
-    else:
-        vflat = np.zeros((1, 0, d), dtype=np.int64)
-    pos = {l: i for i, l in enumerate(free)}
-
-    steps = np.zeros((n, Nv, d), dtype=np.int64)
-    for j in range(1, n + 1):
-        if j in pos:
-            steps[j - 1] = vflat[:, pos[j], :]
-        else:
-            others = [pos[l] for l in maps.block_of[j] if l != j]
-            if others:
-                steps[j - 1] = -np.sum(vflat[:, others, :], axis=1)
+    # every point of the free-momentum box, substituted into the n steps
+    free = int_box(m * d, 2 * K).reshape(Nv, m, d).transpose(1, 0, 2)
+    steps = pt.apply_MA(A, free)
 
     prefix = np.zeros((n + 1, Nv, d), dtype=np.int64)
     if n:
@@ -186,6 +165,25 @@ def _chain_sum(A, lattice, btab, zs, *, sum_u0, psi_w=None, threads=1,
     return res, N * Nv
 
 
+def _prefactor(row: pt.LivePartition, lattice) -> float:
+    """Moment weight times L^{-d} for the outer and each free momentum sum."""
+    return row.weight * lattice.volume ** (-(row.m + 1))
+
+
+def _live_terms(rows, lattice, btab, zs, psi_w, *, threads, budget):
+    """(prefactor * summed chain, lattice term count) of each live row."""
+    out = []
+    for row in rows:
+        raw, terms = _chain_sum(row.partition, lattice, btab, zs, sum_u0=True,
+                                psi_w=psi_w, threads=threads, budget=budget)
+        out.append((_prefactor(row, lattice) * raw, terms))
+    return out
+
+
+def _psi_weights(psi1, psi2, lattice):
+    return np.conj(psi_hat_vector(psi1, lattice)) * psi_hat_vector(psi2, lattice)
+
+
 def partition_term_C(n, A: pt.SetPartition, lattice, profile, dist, z,
                      psi1, psi2, *, threads=1, budget=DEFAULT_TERM_BUDGET) -> complex:
     """One partition's contribution to the order-n coefficient.
@@ -195,15 +193,14 @@ def partition_term_C(n, A: pt.SetPartition, lattice, profile, dist, z,
     if A.n != n:
         raise ConfigError("partition ground set must match the order")
     dist_to_spectrum(z)
-    mw = pt.moment_weight(A, dist)
-    if mw == 0.0:
+    row = pt.live_partition(A, dist)
+    if row is None:
         return 0.0 + 0.0j
-    btab = bhat_difference_table(profile, lattice)
-    psi_w = np.conj(psi_hat_vector(psi1, lattice)) * psi_hat_vector(psi2, lattice)
-    value, _ = _chain_sum(A, lattice, btab, (z,) * (n + 1), sum_u0=True,
-                          psi_w=psi_w, threads=threads, budget=budget)
-    m = len(pt.partition_maps(A).I)
-    return mw * lattice.volume ** (-(m + 1)) * value
+    [(value, _)] = _live_terms([row], lattice,
+                               bhat_difference_table(profile, lattice),
+                               (z,) * (n + 1), _psi_weights(psi1, psi2, lattice),
+                               threads=threads, budget=budget)
+    return value
 
 
 def coefficient_T(n, lattice, profile, dist, z, psi1, psi2, *,
@@ -215,58 +212,25 @@ def coefficient_T(n, lattice, profile, dist, z, psi1, psi2, *,
     exactly, so the result is reproducible for any thread count.
     """
     dist_to_spectrum(z)
-    parts = [_EMPTY] if n == 0 else list(pt.enumerate_partitions(n))
-    btab = bhat_difference_table(profile, lattice)
-    psi_w = np.conj(psi_hat_vector(psi1, lattice)) * psi_hat_vector(psi2, lattice)
-
-    values = []
-    per = {} if per_partition else None
-    terms = 0
-    for A in parts:
-        mw = pt.moment_weight(A, dist)
-        if mw == 0.0:
-            val = 0.0 + 0.0j
-        else:
-            raw, cnt = _chain_sum(A, lattice, btab, (z,) * (n + 1), sum_u0=True,
-                                  psi_w=psi_w, threads=threads, budget=budget)
-            m = len(pt.partition_maps(A).I)
-            val = mw * lattice.volume ** (-(m + 1)) * raw
-            terms += cnt
-        values.append(val)
-        if per is not None:
-            per[A.blocks] = val
+    rows = pt.live_partitions(n, dist)
+    terms = _live_terms(rows, lattice, bhat_difference_table(profile, lattice),
+                        (z,) * (n + 1), _psi_weights(psi1, psi2, lattice),
+                        threads=threads, budget=budget)
+    per = None
+    if per_partition:
+        # every partition is reported; the dead ones contribute exactly zero
+        per = dict.fromkeys((A.blocks for A in pt.all_partitions(n)), 0.0 + 0.0j)
+        per.update((row.partition.blocks, val) for row, (val, _) in zip(rows, terms))
 
     tail = truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2)
     return CoefficientResult(
-        value=fsum_c(values),
+        value=fsum_c([val for val, _ in terms]),
         n=n,
-        partition_count=len(parts),
-        term_count=terms,
+        partition_count=pt.bell_number(n),
+        term_count=sum(cnt for _, cnt in terms),
         truncation_tail_bound=tail,
         per_partition=per,
     )
-
-
-def coefficient_T_vectors(n, lattice, profile, dist, z, psi1_hat, psi2_hat, *,
-                          threads=1, budget=DEFAULT_TERM_BUDGET) -> complex:
-    """coefficient_T for raw transform vectors instead of wavepackets.
-
-    Used where the test functions are lattice basis vectors (trace sums).
-    """
-    dist_to_spectrum(z)
-    parts = [_EMPTY] if n == 0 else list(pt.enumerate_partitions(n))
-    btab = bhat_difference_table(profile, lattice)
-    psi_w = np.conj(np.asarray(psi1_hat)) * np.asarray(psi2_hat)
-    values = []
-    for A in parts:
-        mw = pt.moment_weight(A, dist)
-        if mw == 0.0:
-            continue
-        raw, _ = _chain_sum(A, lattice, btab, (z,) * (n + 1), sum_u0=True,
-                            psi_w=psi_w, threads=threads, budget=budget)
-        m = len(pt.partition_maps(A).I)
-        values.append(mw * lattice.volume ** (-(m + 1)) * raw)
-    return fsum_c(values)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +260,14 @@ def coefficient_T_oracle(n, lattice, profile, dist, z, psi1, psi2,
     bvals = [btab[_diff_index(p[j], K, d)] for j in range(n)]
 
     EP = np.zeros(total)
-    parts = [_EMPTY] if n == 0 else list(pt.enumerate_partitions(n))
-    for A in parts:
-        mw = pt.moment_weight(A, dist)
-        if mw == 0.0:
-            continue
+    for A, mw, _, blocks in pt.live_partitions(n, dist):
         ok = np.ones(total, dtype=bool)
         for block in A.blocks:
             ssum = np.zeros((total, d), dtype=np.int64)
             for l in block:
                 ssum += p[l - 1]
             ok &= np.all(ssum == 0, axis=-1)
-        factor = np.full(total, mw * lattice.volume ** len(A.blocks))
+        factor = np.full(total, mw * lattice.volume ** blocks)
         for j in range(n):
             factor *= bvals[j]
         EP[ok] += factor[ok]
@@ -336,22 +296,12 @@ def error_functional_E(n, lattice, profile, dist, z, psi1, *, threads=1,
     on the rest.  Real and nonnegative up to rounding.
     """
     dist_to_spectrum(z)
-    parts = [_EMPTY] if n == 0 else list(pt.enumerate_partitions(2 * n))
     zs = (z,) * n + (None,) + (np.conj(z),) * n
-    btab = bhat_difference_table(profile, lattice)
-    p1 = psi_hat_vector(psi1, lattice)
-    psi_w = np.conj(p1) * p1
-
-    values = []
-    for A in parts:
-        mw = pt.moment_weight(A, dist)
-        if mw == 0.0:
-            continue
-        raw, _ = _chain_sum(A, lattice, btab, zs, sum_u0=True, psi_w=psi_w,
-                            threads=threads, budget=budget)
-        m = len(pt.partition_maps(A).I)
-        values.append(mw * lattice.volume ** (-(m + 1)) * raw)
-    total = fsum_c(values)
+    terms = _live_terms(pt.live_partitions(2 * n, dist), lattice,
+                        bhat_difference_table(profile, lattice), zs,
+                        _psi_weights(psi1, psi1, lattice),
+                        threads=threads, budget=budget)
+    total = fsum_c([val for val, _ in terms])
     if with_diagnostics:
         return float(total.real), abs(total.imag)
     return float(total.real)
@@ -369,16 +319,8 @@ def bhat_star_norms(profile: ProfileSpec, L, K=None, d=1):
     """
     K = K or 64
     side = np.arange(-2 * K, 2 * K + 1)
-    if profile.kind == "gaussian":
-        axis_vals = np.abs(
-            profile_fourier_periodized(ProfileSpec("gaussian", 1.0, profile.sigma),
-                                       side[:, None] / L, L)
-        )
-    else:
-        axis_vals = np.abs(
-            profile_fourier_periodized(ProfileSpec("cosine-bump", 1.0, r=profile.r),
-                                       side[:, None] / L, L)
-        )
+    axis_vals = np.abs(profile_fourier_periodized(replace(profile, b0=1.0),
+                                                  side[:, None] / L, L))
     env = profile_axis_envelope(profile, L)
     axis_tail = _axis_envelope_tail(env, L, 2 * K)
     s1 = abs(profile.b0) * ((axis_vals.sum() + axis_tail) ** d) / L**d
@@ -412,6 +354,26 @@ def _axis_pair_window_sum(env1, env2, L, K_in, X=100_000):
     return win, win + out + rem
 
 
+def _free_escape_sums(envB, b0, L, d, K, ms):
+    """{m: (SB_all, SB_thr)} for each free-index count m in ms.
+
+    SB_all is the summed profile envelope over the difference window, SB_thr
+    the same sum inside the escape threshold max(1, K // (2m)) (K at m = 0);
+    both are (1/L^d)-normalized.  Neither depends on the partition beyond m.
+    """
+    if not ms:
+        return {}
+    ones = lambda k: np.ones_like(np.asarray(k, dtype=float))
+    _, ball = _axis_pair_window_sum(envB, ones, L, 2 * K)
+    SB_all = b0 * ball**d / L**d
+    out = {}
+    for m in ms:
+        thr = max(1, K // (2 * m)) if m else K
+        bthr, _ = _axis_pair_window_sum(envB, ones, L, thr)
+        out[m] = (SB_all, b0 * bthr**d / L**d)
+    return out
+
+
 def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
     """Conservative bound on the mass the window truncation discards.
 
@@ -423,40 +385,35 @@ def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
     d, K, L = lattice.d, lattice.K, lattice.L
     dist_z = dist_to_spectrum(z)
     envB = profile_axis_envelope(profile, L)
-    b0 = abs(profile.b0)
 
     # per-axis envelope sums for the paired test functions
-    psi_in = 1.0
     psi_all = 1.0
     psi_half = 1.0
     for j in range(d):
         e1 = wavepacket_axis_envelope(psi1, j, L)
         e2 = wavepacket_axis_envelope(psi2, j, L)
-        w_in, w_all = _axis_pair_window_sum(e1, e2, L, K)
+        _, w_all = _axis_pair_window_sum(e1, e2, L, K)
         w_half, _ = _axis_pair_window_sum(e1, e2, L, K // 2)
-        psi_in *= w_in
         psi_all *= w_all
         psi_half *= w_half
     s_psi_all = psi_all / L**d
     s_psi_escape = max(0.0, (psi_all - psi_half)) / L**d
 
-    total = 0.0
-    parts = [_EMPTY] if n == 0 else list(pt.enumerate_partitions(n))
+    rows = pt.live_partitions(n, dist)
+    esc = _free_escape_sums(envB, abs(profile.b0), L, d, K, {row.m for row in rows})
     normB1 = profile.norm_l1(d)
-    for A in parts:
-        mw = abs(pt.moment_weight(A, dist))
-        if mw == 0.0:
-            continue
-        m = len(pt.partition_maps(A).I)
-        thr = max(1, K // (2 * m)) if m else K
-        bwin, ball = _axis_pair_window_sum(envB, lambda k: np.ones_like(np.asarray(k, float)), L, 2 * K)
-        bthr, _ = _axis_pair_window_sum(envB, lambda k: np.ones_like(np.asarray(k, float)), L, thr)
-        SB_all = b0 * (ball**d) / L**d
-        SB_thr = b0 * (bthr**d) / L**d
-        blocks = len(A.blocks)
-        esc = s_psi_escape * SB_all**m + s_psi_all * m * max(0.0, SB_all - SB_thr) * SB_all ** max(0, m - 1)
-        total += mw * normB1**blocks * esc
+    total = 0.0
+    for _, w, m, blocks in rows:
+        SB_all, SB_thr = esc[m]
+        e = (s_psi_escape * SB_all**m + s_psi_all * m
+             * max(0.0, SB_all - SB_thr) * SB_all ** max(0, m - 1))
+        total += abs(w) * normB1**blocks * e
     return total * dist_z ** (-(n + 1))
+
+
+def _magnitude(row: pt.LivePartition, n, normB1, s1) -> float:
+    """|moment weight| times ||B||_1 per non-free index and s1 per free one."""
+    return abs(row.weight) * normB1 ** (n - row.m) * s1**row.m
 
 
 def partition_term_bound(n, A, lattice, profile, dist, z, psi1, psi2,
@@ -465,14 +422,12 @@ def partition_term_bound(n, A, lattice, profile, dist, z, psi1, psi2,
     the summed transform norm per free index, and the resolvent distance."""
     if value is None:
         value = partition_term_C(n, A, lattice, profile, dist, z, psi1, psi2, **kw)
-    m = len(pt.partition_maps(A).I)
-    s1, _ = bhat_star_norms(profile, lattice.L, lattice.K, lattice.d)
-    rhs = (
-        abs(pt.moment_weight(A, dist))
-        * profile.norm_l1(lattice.d) ** (n - m)
-        * s1**m
-        * dist_to_spectrum(z) ** (-(n + 1))
-    )
+    row = pt.live_partition(A, dist)
+    rhs = 0.0
+    if row is not None:
+        s1, _ = bhat_star_norms(profile, lattice.L, lattice.K, lattice.d)
+        rhs = (_magnitude(row, n, profile.norm_l1(lattice.d), s1)
+               * dist_to_spectrum(z) ** (-(n + 1)))
     return BoundReport(
         name="partition_term_magnitude",
         lhs=abs(value),
@@ -543,14 +498,8 @@ def volume_limit_probe(n, z, L_sequence, d, K_over_L, profile, dist, psi1,
         val = coefficient_T(n, lattice, profile, dist, z, psi1, psi2,
                             threads=threads).value
         s1, _ = bhat_star_norms(profile, L, K, d)
-        surrogate = 0.0
-        parts = [_EMPTY] if n == 0 else list(pt.enumerate_partitions(n))
-        for A in parts:
-            mw = abs(pt.moment_weight(A, dist))
-            if mw == 0.0:
-                continue
-            m = len(pt.partition_maps(A).I)
-            surrogate += mw * profile.norm_l1(d) ** (n - m) * s1**m
+        surrogate = sum((_magnitude(row, n, profile.norm_l1(d), s1)
+                         for row in pt.live_partitions(n, dist)), 0.0)
         surrogate *= dist_to_spectrum(z) ** (-(n + 1))
         rows.append({
             "L": L, "K": K, "value": val,

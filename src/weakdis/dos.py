@@ -16,14 +16,14 @@ from . import partitions as pt
 from ._accum import fsum_c, fsum_r
 from .coefficients import (
     DEFAULT_TERM_BUDGET,
-    _EMPTY,
-    _axis_pair_window_sum,
     _chain_sum,
+    _free_escape_sums,
+    _prefactor,
     bhat_difference_table,
     bhat_star_norms,
 )
 from .errors import BudgetError, ConfigError
-from .lattice import profile_axis_envelope, profile_periodized_value
+from .lattice import int_box, profile_axis_envelope, profile_periodized_value
 from .montecarlo import (
     EstimatorResult,
     _se_complex,
@@ -78,8 +78,19 @@ def _order_cap(d: int) -> int:
     return 3 if d == 1 else 2
 
 
-def _dos_partitions(n):
-    return [_EMPTY] if n == 0 else list(pt.enumerate_partitions(n))
+def _dos_value(n, rows, E, eta, lattice, btab, *, threads, budget) -> complex:
+    """Sum over the live rows of the order-n coefficient's (1/2i) difference
+    of the two boundary values at E +- i eta."""
+    zp = complex(E, eta)
+    zm = complex(E, -eta)
+    vals = []
+    for row in rows:
+        rp, _ = _chain_sum(row.partition, lattice, btab, (zp,) * (n + 1),
+                           sum_u0=False, threads=threads, budget=budget)
+        rm, _ = _chain_sum(row.partition, lattice, btab, (zm,) * (n + 1),
+                           sum_u0=False, threads=threads, budget=budget)
+        vals.append(_prefactor(row, lattice) * fsum_c((rp - rm) / 2j))
+    return fsum_c(vals)
 
 
 def dos_coefficient_D(n, E, eta, lattice, profile, dist, *, threads=1,
@@ -95,22 +106,9 @@ def dos_coefficient_D(n, E, eta, lattice, profile, dist, *, threads=1,
     if n > _order_cap(lattice.d):
         raise BudgetError(
             f"DOS order {n} over the d={lattice.d} cap {_order_cap(lattice.d)}")
-    zp = complex(E, eta)
-    zm = complex(E, -eta)
-    btab = bhat_difference_table(profile, lattice)
-
-    vals = []
-    for A in _dos_partitions(n):
-        mw = pt.moment_weight(A, dist)
-        if mw == 0.0:
-            continue
-        rp, _ = _chain_sum(A, lattice, btab, (zp,) * (n + 1), sum_u0=False,
-                           threads=threads, budget=budget)
-        rm, _ = _chain_sum(A, lattice, btab, (zm,) * (n + 1), sum_u0=False,
-                           threads=threads, budget=budget)
-        m = len(pt.partition_maps(A).I)
-        vals.append(mw * lattice.volume ** (-(m + 1)) * fsum_c((rp - rm) / 2j))
-    total = fsum_c(vals) if vals else 0.0 + 0.0j
+    total = _dos_value(n, pt.live_partitions(n, dist), E, eta, lattice,
+                       bhat_difference_table(profile, lattice),
+                       threads=threads, budget=budget)
     return DosCoefficient(
         n=n, E=float(E), eta=float(eta), value=float(total.real),
         tail_bound=_dos_tail(n, lattice, profile, dist, E, eta),
@@ -135,9 +133,7 @@ def _outer_resolvent_tail(lattice, E, eta, smoothed: bool) -> float:
     d, K, L = lattice.d, lattice.K, lattice.L
     X = {1: 4096, 2: 512, 3: 64}[d]
     X = max(X, 4 * K, int(2 * L * math.sqrt(max(E, 1.0))) + 1)
-    axes = [np.arange(-X, X + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ints = np.stack([g.ravel() for g in mesh], axis=-1)
+    ints = int_box(d, X)
     outside = np.max(np.abs(ints), axis=-1) > K
     nuv = 0.5 * np.sum((ints[outside] / L) ** 2, axis=-1)
     w = 1.0 / ((nuv - E) ** 2 + eta**2)
@@ -174,31 +170,22 @@ def _dos_tail(n, lattice, profile, dist, E, eta) -> float:
     r2_out = _outer_resolvent_tail(lattice, E, eta, smoothed=False)
     r2_half, r2_ring = _window_resolvent_sums(lattice, E, eta)
     s1, _ = bhat_star_norms(profile, L, K, d)
-    envB = profile_axis_envelope(profile, L)
-    ones = lambda k: np.ones_like(np.asarray(k, dtype=float))
+    rows = pt.live_partitions(n, dist)
+    esc = _free_escape_sums(profile_axis_envelope(profile, L), abs(profile.b0),
+                            L, d, K, {row.m for row in rows if row.m})
     normB1 = profile.norm_l1(d)
-    b0 = abs(profile.b0)
 
     total = 0.0
-    for A in _dos_partitions(n):
-        mw = abs(pt.moment_weight(A, dist))
-        if mw == 0.0:
-            continue
-        m = len(pt.partition_maps(A).I)
-        blocks = len(A.blocks)
+    for _, w, m, blocks in rows:
         outer = s1**m * r2_out
         if m:
-            thr = max(1, K // (2 * m))
-            _, ball = _axis_pair_window_sum(envB, ones, L, 2 * K)
-            bthr, _ = _axis_pair_window_sum(envB, ones, L, thr)
-            SB_all = b0 * ball**d / L**d
-            SB_thr = b0 * bthr**d / L**d
+            SB_all, SB_thr = esc[m]
             free_esc = r2_half * m * max(0.0, SB_all - SB_thr) * SB_all ** (m - 1)
             ring = r2_ring * SB_all**m
         else:
             free_esc = 0.0
             ring = r2_ring
-        total += mw * normB1**blocks * (outer + free_esc + ring)
+        total += abs(w) * normB1**blocks * (outer + free_esc + ring)
     return total * eta ** (-(n - 1)) if n > 1 else total
 
 
@@ -224,32 +211,34 @@ def dos_expansion(chi, lam, eps, N_target, lattice, profile, dist, *,
         if lam <= 0:
             raise ConfigError("eta must be given explicitly when lam == 0")
         eta = lam ** (2.0 - eps)
+    if eta <= 0:
+        raise ConfigError("eta must be positive")
     a, b = chi.support
     cap = _order_cap(lattice.d)
     top = min(N_target, cap)
     chi_mass, _ = quad(chi, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)
+    btab = bhat_difference_table(profile, lattice)
 
     rows = []
     for n in range(top + 1):
-        live = any(pt.moment_weight(A, dist) != 0.0 for A in _dos_partitions(n))
+        live = pt.live_partitions(n, dist)
         if not live:
             rows.append({"n": n, "E": "integrated", "eta": eta, "value": 0.0,
                          "tail_bound": 0.0, "quad_error": 0.0})
             continue
 
+        # the quadrature nodes need only the value; the tail bound is
+        # evaluated where it is reported
         def integrand(E):
-            return chi(E) * dos_coefficient_D(n, E, eta, lattice, profile,
-                                              dist, threads=threads,
-                                              budget=budget).value
+            return chi(E) * float(_dos_value(n, live, E, eta, lattice, btab,
+                                             threads=threads,
+                                             budget=budget).real)
 
         val, abserr = quad(integrand, a, b, epsrel=quad_rtol, epsabs=1e-14,
                            limit=200)
         term = ((-lam) ** n / math.pi) * val
-        tmax = max(
-            dos_coefficient_D(n, Ept, eta, lattice, profile, dist,
-                              threads=threads, budget=budget).tail_bound
-            for Ept in np.linspace(a + 1e-9, b - 1e-9, 5)
-        )
+        tmax = max(_dos_tail(n, lattice, profile, dist, Ept, eta)
+                   for Ept in np.linspace(a + 1e-9, b - 1e-9, 5))
         rows.append({
             "n": n, "E": "integrated", "eta": eta, "value": term,
             "tail_bound": (lam**n / math.pi) * tmax * chi_mass,
@@ -282,7 +271,8 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
         val = _trace_from_eigs(mu, chi, eta, lattice.volume, a, b, rtol)
         if check_routes:
             stone = _stone_from_eigs(mu, chi, eta, lattice.volume, a, b)
-            route_diff = max(route_diff, abs(val - stone))
+            # np.maximum keeps a NaN difference instead of dropping it
+            route_diff = float(np.maximum(route_diff, abs(val - stone)))
         units.append(val)
     mean = fsum_r(units) / n_samples
     se = _se_complex(units, mean)

@@ -16,7 +16,7 @@ corrections for Gaussians) via the scaled Faddeeva function.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import wofz
@@ -85,16 +85,25 @@ class MomentumLattice:
         return idx
 
 
+def int_box(d, X) -> np.ndarray:
+    """Integer points m of Z^d with max_j |m_j| <= X, shape ((2X+1)^d, d), in
+    lexicographic order (first coordinate slowest); one empty point at d = 0.
+    Built fresh on every call."""
+    if d == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    mesh = np.meshgrid(*([np.arange(-X, X + 1)] * d), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 _GRID_CACHE = {}
 
 
 def _int_grid(d, K):
+    """Cached, read-only int_box(d, K): the lattice window."""
     key = (d, K)
     grid = _GRID_CACHE.get(key)
     if grid is None:
-        axes = [np.arange(-K, K + 1)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
+        grid = int_box(d, K)
         grid.setflags(write=False)
         _GRID_CACHE[key] = grid
     return grid
@@ -150,11 +159,6 @@ def star_norm(values, q, lattice: MomentumLattice) -> float:
     if q <= 0:
         raise ConfigError("norm exponent must be positive")
     return float(fsum_r(arr**q) / lattice.volume) ** (1.0 / q)
-
-
-def lattice_norm(values, lattice: MomentumLattice) -> float:
-    """L^2 norm sqrt((1/L^d) sum |f|^2) of a coefficient vector."""
-    return star_norm(values, 2, lattice)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ from scipy.linalg import lu_factor, lu_solve
 from ._accum import chunk_ranges, fsum_c, fsum_r, run_ordered
 from .coefficients import bhat_difference_table, psi_hat_vector, _diff_index
 from .errors import BudgetError, ConfigError
-from .lattice import MomentumLattice, ProfileSpec, Wavepacket, dist_to_spectrum
+from .lattice import (
+    MomentumLattice,
+    ProfileSpec,
+    Wavepacket,
+    dist_to_spectrum,
+    int_box,
+)
 from .partitions import WeightDistribution
 from .report import BoundReport
 
@@ -127,10 +133,7 @@ def potential_fourier(config: PoissonConfig, profile: ProfileSpec,
 def _phase_sums(config: PoissonConfig, lattice: MomentumLattice) -> np.ndarray:
     """sum_gamma v_gamma exp(-2 pi i k . y_gamma) on the flattened
     difference window (same layout as the profile table)."""
-    K, d, L = lattice.K, lattice.d, lattice.L
-    axes = [np.arange(-2 * K, 2 * K + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1) / L
+    pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
     if config.M == 0:
         return np.zeros(pts.shape[0], dtype=complex)
     return np.exp(-2j * np.pi * (pts @ config.positions.T)) @ config.weights

@@ -6,6 +6,7 @@ indicators, moment weights, and the Poisson factorial-moment identity.
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +72,6 @@ def bell_number(n) -> int:
     b = [1]  # B_0
     for _ in range(n):
         nxt = 0
-        row = []
         # B_{m+1} = sum_k C(m,k) B_k
         for k, bk in enumerate(b):
             nxt += math.comb(len(b) - 1, k) * bk
@@ -189,6 +189,43 @@ def moment_weight(A: SetPartition, dist: WeightDistribution) -> float:
         if w == 0.0:
             return 0.0
     return w
+
+
+# ---------------------------------------------------------------------------
+# the live-partition table
+
+
+class LivePartition(NamedTuple):
+    """A partition with nonzero moment weight; m = n - blocks is its number
+    of free (non-maximal) indices, one free momentum sum each."""
+
+    partition: SetPartition
+    weight: float
+    m: int
+    blocks: int
+
+
+def all_partitions(n):
+    """Every partition of {1..n} in enumeration order; at n = 0 the empty
+    partition."""
+    if n == 0:
+        return [SetPartition(n=0, blocks=())]
+    return list(enumerate_partitions(n))
+
+
+def live_partition(A: SetPartition, dist: WeightDistribution):
+    """The table row of A, or None when its moment weight vanishes."""
+    w = moment_weight(A, dist)
+    k = len(A.blocks)
+    return LivePartition(A, w, A.n - k, k) if w != 0.0 else None
+
+
+def live_partitions(n, dist: WeightDistribution):
+    """The partitions of {1..n} that contribute to an order-n sum, in
+    enumeration order, with their moment weight, free-index count and block
+    count; zero-weight partitions are dropped."""
+    rows = (live_partition(A, dist) for A in all_partitions(n))
+    return [row for row in rows if row is not None]
 
 
 # ---------------------------------------------------------------------------

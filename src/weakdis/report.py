@@ -1,10 +1,18 @@
 """Inequality-check records."""
 
+import math
 from dataclasses import dataclass, field
 
 # Relative slack used by every pass/fail decision: an inequality "lhs <= rhs"
 # passes iff rhs - lhs >= -PASS_SLACK * max(1, |rhs|).
 PASS_SLACK = 1e-12
+
+
+def holds(lhs, rhs, slack=0.0) -> bool:
+    """Whether lhs <= rhs up to slack * max(1, |rhs|), decided on finite
+    evidence only: a NaN, an infinity or a missing value fails."""
+    finite = all(v is not None and math.isfinite(v) for v in (lhs, rhs))
+    return finite and rhs - lhs >= -slack * max(1.0, abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,7 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.margin >= -PASS_SLACK * max(1.0, abs(self.rhs))
+        return holds(self.lhs, self.rhs, PASS_SLACK)
 
     def as_dict(self) -> dict:
         return {

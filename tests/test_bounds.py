@@ -152,6 +152,16 @@ def test_main_rhs_coupling_power(gauss_profile, rademacher, psi_pair):
     assert r1 == pytest.approx(77.78189028242161, rel=1e-12)
 
 
+def test_main_rhs_order_zero_closed_form(gauss_profile, rademacher,
+                                         psi_pair):
+    # K_0 = 1: the only partition of the empty set has weight 1, no blocks
+    p1, p2 = psi_pair
+    eta = 0.3
+    rhs = main_error_bound_rhs(0, 1, 1.0, eta, 0.1, gauss_profile, rademacher,
+                               p1, p2)
+    assert rhs == pytest.approx(eta**-1.5, rel=1e-15)
+
+
 def test_main_rhs_validation(gauss_profile, rademacher, psi_pair):
     p1, p2 = psi_pair
     with pytest.raises(BudgetError):

@@ -1,4 +1,5 @@
 import json
+import math
 
 
 def write_config(path, model, study, output=None):
@@ -172,3 +173,35 @@ def test_exit_4_check_failure(tmp_path, std_model_dict, run_cli):
     assert "resolvent_sum_bound" in proc.stderr
     # without --check the same run records the failure and exits 0
     assert run_cli("bounds", cfg, tmp_path / "o2").returncode == 0
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_mc_validate_single_lambda_check_fails(tmp_path, std_model_dict,
+                                               run_cli):
+    # one lambda leaves the log-log fit undefined; --check must not pass it
+    study = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
+             "lambdas": [0.1], "n_samples": 32, "seed": 9,
+             "antithetic": True, "control_orders": [1]}
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    out = tmp_path / "out"
+    proc = run_cli("mc-validate", cfg, out, "--check")
+    assert proc.returncode == 4, proc.stderr
+    report = _strict_json((out / "mc_validate.json").read_text())
+    assert report["slope"] is None
+    assert report["intercept"] is None
+
+
+def test_holds_needs_finite_evidence():
+    from weakdis.report import holds
+
+    assert holds(1.0, 1.0)
+    assert not holds(1.0 + 1e-9, 1.0)
+    for lhs, rhs in [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                     (-math.inf, 0.0), (None, 1.0)]:
+        assert not holds(lhs, rhs)

@@ -189,3 +189,26 @@ def test_uniform_weights_second_order_differs(std_lattice, gauss_profile):
     d_u = dos_coefficient_D(2, 1.0, 0.3, std_lattice, gauss_profile, uni)
     d_r = dos_coefficient_D(2, 1.0, 0.3, std_lattice, gauss_profile, rad)
     assert d_u.value == pytest.approx(d_r.value, rel=1e-14)
+
+
+def test_expansion_evaluates_tail_only_where_reported(monkeypatch,
+                                                      gauss_profile,
+                                                      rademacher):
+    import weakdis.dos as dosmod
+
+    calls = []
+    real_tail = dosmod._dos_tail
+
+    def counted(n, *args):
+        calls.append(n)
+        return real_tail(n, *args)
+
+    monkeypatch.setattr(dosmod, "_dos_tail", counted)
+    lattice = build_lattice(1, 2.0, 4)
+    chi = ChiBump(center=1.0, width=0.5)
+    _, rows, _ = dos_expansion(chi, 0.05, 0.5, 2, lattice, gauss_profile,
+                               rademacher, eta=0.2)
+    # Rademacher weights: order 1 has no live partition, orders 0 and 2 do
+    assert rows[1]["tail_bound"] == 0.0
+    assert sorted(calls) == [0] * 5 + [2] * 5
+    assert rows[2]["tail_bound"] > 0.0

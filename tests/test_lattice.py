@@ -18,7 +18,7 @@ from weakdis import (
     star_norm,
     wavepacket_fourier_periodized,
 )
-from weakdis.lattice import fourier_quad_axis
+from weakdis.lattice import _int_grid, fourier_quad_axis, int_box
 
 
 def test_lattice_point_count():
@@ -190,3 +190,14 @@ def test_lattice_validation():
         build_lattice(1, -1.0, 3)
     with pytest.raises(ConfigError):
         MomentumLattice(d=1, L=2.0, K=0)
+
+
+def test_int_box_order_and_cached_window():
+    box = int_box(2, 1)
+    assert box.shape == (9, 2)
+    assert box.tolist() == [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    assert int_box(0, 3).shape == (1, 0)
+    grid = _int_grid(3, 2)
+    assert np.array_equal(grid, int_box(3, 2))
+    assert not grid.flags.writeable
+    assert int_box(3, 2).flags.writeable  # built fresh, not the cached grid

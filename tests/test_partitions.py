@@ -176,3 +176,25 @@ def test_set_partition_validation():
         SetPartition(3, ((1, 2), (2, 3)))  # overlap
     with pytest.raises(ConfigError):
         SetPartition(2, ((0, 1, 2),))  # out of range
+
+
+# explicit moments with nonzero odd moments and one vanishing moment (m_5)
+TABLE_DISTS = [
+    WeightDistribution(kind="rademacher"),
+    WeightDistribution(kind="centered-uniform"),
+    WeightDistribution(kind="explicit-moments",
+                       moments=(0.5, 1.0, -0.25, 2.0, 0.0, 3.0, 0.125, 5.0)),
+]
+
+
+@pytest.mark.parametrize("dist", TABLE_DISTS, ids=lambda d: d.kind)
+def test_live_partitions_equal_filtered_enumeration(dist):
+    from weakdis.partitions import live_partitions
+
+    for n in range(9):
+        parts = ([SetPartition(n=0, blocks=())] if n == 0
+                 else list(enumerate_partitions(n)))
+        expected = [(A, moment_weight(A, dist), len(partition_maps(A).I),
+                     len(A.blocks))
+                    for A in parts if moment_weight(A, dist) != 0.0]
+        assert [tuple(row) for row in live_partitions(n, dist)] == expected
