@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 from scipy import optimize
-from scipy.integrate import dblquad, quad
+from scipy.integrate import quad
 
 from . import partitions as pt
 # fsum_c is unused here, but perfbench/tracer.py wraps this binding
@@ -114,57 +114,7 @@ def _star_norms(profile: ProfileSpec, L: float, d: int, truncated: bool):
 
 
 # ---------------------------------------------------------------------------
-# window integral and the summed-resolvent constant
-
-
-def _window_integral(E: float, d: int, eta: float, tol: float = 1e-8) -> float:
-    """Integral of |q^2 - E - i eta/sqrt(2)|^{-1} over the cube
-    ||q||_inf <= sqrt(2E+1)."""
-    a = math.sqrt(2.0 * E + 1.0)
-    eta_eff = eta / math.sqrt(2.0)
-
-    if d == 1:
-        def f(x):
-            return 1.0 / math.hypot(x * x - E, eta_eff)
-
-        pts = [-math.sqrt(E), math.sqrt(E)] if E > 0 else None
-        val, _ = quad(f, -a, a, points=pts, limit=400, epsabs=tol, epsrel=tol)
-        return val
-    if d == 2:
-        def f(y, x):
-            return 1.0 / math.hypot(x * x + y * y - E, eta_eff)
-
-        val, _ = dblquad(f, -a, a, -a, a, epsabs=tol * 10, epsrel=tol * 10)
-        return val
-    if d == 3:
-        # nested adaptive quadrature, coarser tolerance (documented)
-        def inner(x, y):
-            def g(zc):
-                return 1.0 / math.hypot(x * x + y * y + zc * zc - E, eta_eff)
-
-            v, _ = quad(g, -a, a, limit=100, epsabs=1e-6, epsrel=1e-6)
-            return v
-
-        def mid(x):
-            v, _ = quad(lambda y: inner(x, y), -a, a, limit=60,
-                        epsabs=1e-5, epsrel=1e-5)
-            return v
-
-        val, _ = quad(mid, -a, a, limit=60, epsabs=1e-4, epsrel=1e-4)
-        return val
-    raise ConfigError("d must be 1, 2, or 3")
-
-
-def const_C0(E: float, d: int, L: float, eta: float,
-             profile: ProfileSpec, *, truncated: bool = False) -> float:
-    """||f||_{*,inf} times the resonant-window integral, plus
-    (E+1)^{-1} ||f||_{*,1}."""
-    if E < 0 or eta <= 0:
-        raise ConfigError("need E >= 0 and eta > 0")
-    s1, sinf = _star_norms(profile, L, d, truncated)
-    if s1 == 0.0 and sinf == 0.0:
-        return 0.0
-    return sinf * _window_integral(E, d, eta) + s1 / (E + 1.0)
+# the summed-resolvent constant
 
 
 def const_C(E: float, d: int, L: float, eta: float,

@@ -271,10 +271,10 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
     residuals = []
     sigmas = []
     all_bounded = True
-    for lam in lams:
-        est = mc.estimate_expectation(
-            n_samples, lam, z, psi1, psi2, seed, lattice, profile, dist,
-            threads=threads, antithetic=antithetic, control_values=controls)
+    ests = mc.estimate_expectation(
+        n_samples, lams, z, psi1, psi2, seed, lattice, profile, dist,
+        threads=threads, antithetic=antithetic, control_values=controls)
+    for lam, est in zip(lams, ests):
         partial = sum((-lam) ** j * T[j] for j in range(n_keep + 1))
         residual = abs(est.mean - partial)
         rhs = bnd.main_error_bound_rhs(n_keep, lattice.d, E, eta, lam,
@@ -328,6 +328,8 @@ def cmd_dos(cfg, out_dir, threads, check):
     eta = study.get("eta")
     eta = float(eta) if eta is not None else None
     order = int(study.get("order", 2))
+    if order < 0:
+        raise ConfigError("order must be nonnegative")
     chi_spec = study.get("chi", {})
     chi = dosmod.ChiBump(center=float(chi_spec.get("center", 1.0)),
                          width=float(chi_spec.get("width", 0.5)))
@@ -335,19 +337,16 @@ def cmd_dos(cfg, out_dir, threads, check):
     seed = int(study["seed"])
     check_routes = bool(study.get("check_routes", True))
 
-    total, rows, meta_exp = dosmod.dos_expansion(
-        chi, lam, eps, order, lattice, profile, dist, eta=eta,
+    # one integration up to the order beyond the kept sum: that order's row
+    # is the empirical remainder scale (absent past the dimension cap)
+    _, all_rows, meta_exp = dosmod.dos_expansion(
+        chi, lam, eps, order + 1, lattice, profile, dist, eta=eta,
         threads=threads)
     eta_used = meta_exp["eta"]
-
-    # one order beyond the kept sum, as the empirical remainder scale
-    s_order = order + 1
-    surrogate = 0.0
-    if s_order <= meta_exp["order_cap"]:
-        _, srows, _ = dosmod.dos_expansion(
-            chi, lam, eps, s_order, lattice, profile, dist, eta=eta_used,
-            threads=threads)
-        surrogate = abs(srows[s_order]["value"])
+    rows = all_rows[:order + 1]
+    total = math.fsum(row["value"] for row in rows)
+    surrogate = (abs(all_rows[order + 1]["value"])
+                 if len(all_rows) > order + 1 else 0.0)
 
     mc_out = dosmod.dos_mc(chi, lam, eta_used, n_samples, seed, lattice,
                            profile, dist, threads=threads,
@@ -383,7 +382,7 @@ def cmd_dos(cfg, out_dir, threads, check):
         "route_max_diff": route_diff,
         "eta": eta_used,
         "order_cap": meta_exp["order_cap"],
-        "capped": meta_exp["capped"],
+        "capped": order > meta_exp["order_cap"],
         "model": meta,
     }
     _write_json(os.path.join(out_dir, "dos.json"), report)

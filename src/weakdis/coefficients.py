@@ -98,8 +98,8 @@ def _chain_sum(A, lattice, btab, zs, *, sum_u0, psi_w=None, threads=1,
                budget=DEFAULT_TERM_BUDGET):
     """Sum the resolved integrand of one partition over the truncated window.
 
-    zs is one entry per chain slot (length A.n + 1): a spectral parameter to
-    put a resolvent factor there, or None for an identity slot.
+    zs is one entry per chain slot (length A.n + 1): the spectral parameter
+    of the resolvent factor there.
 
     Returns (value, term_count) when sum_u0 is true, else (per-u0 array,
     term_count); the outer test-function weights psi_w are applied only in
@@ -150,10 +150,8 @@ def _chain_sum(A, lattice, btab, zs, *, sum_u0, psi_w=None, threads=1,
             kj = u[:, None, :] + prefix[slot][None, :, :]
             if slot not in (0, n):
                 ok &= np.all(np.abs(kj) <= K, axis=-1)
-            zj = zs[slot]
-            if zj is not None:
-                nuv = 0.5 * np.sum((kj * inv_L) ** 2, axis=-1)
-                acc *= 1.0 / (nuv - zj)
+            nuv = 0.5 * np.sum((kj * inv_L) ** 2, axis=-1)
+            acc *= 1.0 / (nuv - zs[slot])
         acc *= bprod[None, :]
         acc[~ok] = 0.0
         res[lo:hi] = np.sum(acc, axis=1)
@@ -284,31 +282,7 @@ def coefficient_T_oracle(n, lattice, profile, dist, z, psi1, psi2,
 
 
 # ---------------------------------------------------------------------------
-# error-side functional
-
-
-def error_functional_E(n, lattice, profile, dist, z, psi1, *, threads=1,
-                       budget=DEFAULT_TERM_BUDGET, with_diagnostics=False):
-    """Expected squared norm of the n-fold adjoint operator string.
-
-    A sum over partitions of {1..2n} whose chains carry resolvents at z on
-    the first n slots, an identity at slot n+1, and resolvents at conj(z)
-    on the rest.  Real and nonnegative up to rounding.
-    """
-    dist_to_spectrum(z)
-    zs = (z,) * n + (None,) + (np.conj(z),) * n
-    terms = _live_terms(pt.live_partitions(2 * n, dist), lattice,
-                        bhat_difference_table(profile, lattice), zs,
-                        _psi_weights(psi1, psi1, lattice),
-                        threads=threads, budget=budget)
-    total = fsum_c([val for val, _ in terms])
-    if with_diagnostics:
-        return float(total.real), abs(total.imag)
-    return float(total.real)
-
-
-# ---------------------------------------------------------------------------
-# norms, per-term bounds, truncation tails
+# norms and truncation tails
 
 
 def bhat_star_norms(profile: ProfileSpec, L, K=None, d=1):
@@ -411,31 +385,6 @@ def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
     return total * dist_z ** (-(n + 1))
 
 
-def _magnitude(row: pt.LivePartition, n, normB1, s1) -> float:
-    """|moment weight| times ||B||_1 per non-free index and s1 per free one."""
-    return abs(row.weight) * normB1 ** (n - row.m) * s1**row.m
-
-
-def partition_term_bound(n, A, lattice, profile, dist, z, psi1, psi2,
-                         value=None, **kw) -> BoundReport:
-    """Per-partition magnitude bound: moment weight times ||B||_1 per block,
-    the summed transform norm per free index, and the resolvent distance."""
-    if value is None:
-        value = partition_term_C(n, A, lattice, profile, dist, z, psi1, psi2, **kw)
-    row = pt.live_partition(A, dist)
-    rhs = 0.0
-    if row is not None:
-        s1, _ = bhat_star_norms(profile, lattice.L, lattice.K, lattice.d)
-        rhs = (_magnitude(row, n, profile.norm_l1(lattice.d), s1)
-               * dist_to_spectrum(z) ** (-(n + 1)))
-    return BoundReport(
-        name="partition_term_magnitude",
-        lhs=abs(value),
-        rhs=rhs,
-        context={"n": n, "blocks": A.blocks, "z": (z.real, z.imag)},
-    )
-
-
 def conj_symmetry_check(n, lattice, profile, dist, z, psi, *, threads=1) -> BoundReport:
     """T_n at conj(z) must equal the conjugate of T_n at z (same psi twice)."""
     t1 = coefficient_T(n, lattice, profile, dist, z, psi, psi, threads=threads).value
@@ -449,63 +398,3 @@ def conj_symmetry_check(n, lattice, profile, dist, z, psi, *, threads=1) -> Boun
         rhs=rhs,
         context={"n": n, "z": (z.real, z.imag), "T": (t1.real, t1.imag)},
     )
-
-
-# ---------------------------------------------------------------------------
-# limit probes
-
-
-def eta_limit_probe(n, E, eta_sequence, lattice, profile, dist, psi1, psi2,
-                    *, threads=1):
-    """Boundary-value probe: coefficient values along a decreasing eta path.
-
-    Emits the value and successive differences; flags Cauchy behavior
-    (strictly shrinking differences) as a diagnostic, not a proof.
-    """
-    etas = [float(e) for e in eta_sequence]
-    if any(e <= 0 for e in etas):
-        raise ConfigError("eta values must be positive")
-    if sorted(etas, reverse=True) != etas:
-        raise ConfigError("eta sequence must be decreasing")
-    rows = []
-    prev = None
-    prev_delta = None
-    for eta in etas:
-        val = coefficient_T(n, lattice, profile, dist, complex(E, eta), psi1,
-                            psi2, threads=threads).value
-        delta = abs(val - prev) if prev is not None else None
-        shrinking = (delta is not None and prev_delta is not None
-                     and delta < prev_delta)
-        rows.append({"eta": eta, "value": val, "delta": delta,
-                     "shrinking": shrinking})
-        prev = val
-        if delta is not None:
-            prev_delta = delta
-    return rows
-
-
-def volume_limit_probe(n, z, L_sequence, d, K_over_L, profile, dist, psi1,
-                       psi2, *, threads=1, max_points=500_000):
-    """Infinite-volume probe: values along increasing L at fixed physical
-    cutoff K/L, with the per-order magnitude surrogate checked on each row."""
-    from .lattice import build_lattice
-
-    rows = []
-    prev = None
-    for L in L_sequence:
-        K = max(1, int(round(K_over_L * L)))
-        lattice = build_lattice(d, L, K, max_points=max_points)
-        val = coefficient_T(n, lattice, profile, dist, z, psi1, psi2,
-                            threads=threads).value
-        s1, _ = bhat_star_norms(profile, L, K, d)
-        surrogate = sum((_magnitude(row, n, profile.norm_l1(d), s1)
-                         for row in pt.live_partitions(n, dist)), 0.0)
-        surrogate *= dist_to_spectrum(z) ** (-(n + 1))
-        rows.append({
-            "L": L, "K": K, "value": val,
-            "delta": abs(val - prev) if prev is not None else None,
-            "surrogate_bound": surrogate,
-            "bound_ok": abs(val) <= surrogate * (1 + 1e-12),
-        })
-        prev = val
-    return rows

@@ -26,13 +26,16 @@ from .errors import BudgetError, ConfigError
 from .lattice import int_box, profile_axis_envelope, profile_periodized_value
 from .montecarlo import (
     EstimatorResult,
+    _check_matrix,
+    _hamiltonian,
     _se_complex,
     _stone_from_eigs,
     _trace_from_eigs,
     assemble_hamiltonian,
-    rng_for,
-    sample_config,
+    map_realizations,
 )
+# unused here, but perfbench/tracer.py wraps this binding
+from .montecarlo import sample_config  # noqa: F401
 from .report import BoundReport
 
 
@@ -261,24 +264,31 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
         raise ConfigError("smoothed traces are restricted to d <= 3")
     if eta <= 0:
         raise ConfigError("eta must be positive")
+    _check_matrix(lattice, lam)
     a, b = chi.support
-    units = []
-    route_diff = 0.0
-    for i in range(n_samples):
-        cfg = sample_config(lattice, dist, rng_for(seed, i))
-        H = assemble_hamiltonian(cfg, lam, lattice, profile)
-        mu = np.linalg.eigvalsh(H.entries)
-        val = _trace_from_eigs(mu, chi, eta, lattice.volume, a, b, rtol)
-        if check_routes:
-            stone = _stone_from_eigs(mu, chi, eta, lattice.volume, a, b)
-            # np.maximum keeps a NaN difference instead of dropping it
-            route_diff = float(np.maximum(route_diff, abs(val - stone)))
-        units.append(val)
+    nu_c = lattice.nu_values.astype(complex)
+    volume = lattice.volume
+
+    def traces(V):
+        mu = np.linalg.eigvalsh(_hamiltonian(nu_c, lam, V))
+        val = _trace_from_eigs(mu, chi, eta, volume, a, b, rtol)
+        if not check_routes:
+            return val, None
+        return val, _stone_from_eigs(mu, chi, eta, volume, a, b)
+
+    pairs = map_realizations(n_samples, seed, lattice, profile, dist, traces,
+                             threads)
+    units = [val for val, _ in pairs]
     mean = fsum_r(units) / n_samples
-    se = _se_complex(units, mean)
-    result = EstimatorResult(mean=mean, std_error=se, n_samples=n_samples,
-                             seed=seed)
-    return (result, route_diff) if check_routes else result
+    result = EstimatorResult(mean=mean, std_error=_se_complex(units, mean),
+                             n_samples=n_samples, seed=seed)
+    if not check_routes:
+        return result
+    route_diff = 0.0
+    for val, stone in pairs:
+        # np.maximum keeps a NaN difference instead of dropping it
+        route_diff = float(np.maximum(route_diff, abs(val - stone)))
+    return result, route_diff
 
 
 # ---------------------------------------------------------------------------

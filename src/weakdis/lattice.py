@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import wofz
 
-from ._accum import fsum_c, fsum_r
+# unused here, but perfbench/tracer.py wraps these bindings
+from ._accum import fsum_c, fsum_r  # noqa: F401
 from .errors import BudgetError, ConfigError, ToleranceError
 
 DEFAULT_MAX_POINTS = 500_000
@@ -134,31 +135,6 @@ def dist_to_spectrum(z: complex) -> float:
     if z.real >= 0:
         return abs(z.imag)
     return abs(z)
-
-
-def discrete_integral(values, lattice: MomentumLattice):
-    """(1/L^d) * sum over lattice points, accumulated exactly.
-
-    The exact (Shewchuk) accumulation makes the result independent of
-    summation order, hence reproducible across any parallel chunking.
-    """
-    arr = np.asarray(values)
-    if arr.shape[0] != lattice.size:
-        raise ConfigError("values must carry one entry per lattice point")
-    if np.iscomplexobj(arr):
-        return fsum_c(arr) / lattice.volume
-    return fsum_r(arr) / lattice.volume
-
-
-def star_norm(values, q, lattice: MomentumLattice) -> float:
-    """Norm ||f||_{*,q} = ((1/L^d) sum |f|^q)^(1/q); q=inf gives max |f|."""
-    arr = np.abs(np.asarray(values))
-    if q == np.inf or q == "inf":
-        return float(arr.max()) if arr.size else 0.0
-    q = float(q)
-    if q <= 0:
-        raise ConfigError("norm exponent must be positive")
-    return float(fsum_r(arr**q) / lattice.volume) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------

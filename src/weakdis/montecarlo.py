@@ -8,6 +8,7 @@ combinatorial expansion coefficients.
 Reproducibility contract: every sample index owns a counter-based RNG
 stream keyed by (seed, index), and reductions run in index order with
 exact accumulation, so results are bit-identical for any worker count.
+Every sampler (here and in ``dos``) draws through ``map_realizations``.
 """
 
 import math
@@ -142,7 +143,6 @@ def _phase_sums(config: PoissonConfig, lattice: MomentumLattice) -> np.ndarray:
 def potential_matrix(config: PoissonConfig, lattice: MomentumLattice,
                      profile: ProfileSpec) -> np.ndarray:
     """Coupling-free potential matrix V_{pq} = V_hat(p-q) / L^d."""
-    N = lattice.size
     btab = bhat_difference_table(profile, lattice)
     S = _phase_sums(config, lattice)
     vdiff = (btab * S) / lattice.volume
@@ -151,19 +151,34 @@ def potential_matrix(config: PoissonConfig, lattice: MomentumLattice,
     return vdiff[didx]
 
 
+def _check_matrix(lattice: MomentumLattice, lam: float = 0.0):
+    """The coupling sign and the dimension budget of a dense Hamiltonian."""
+    if lam < 0:
+        raise ConfigError("coupling must be nonnegative")
+    if lattice.size > MAX_MATRIX_DIM:
+        raise BudgetError(
+            f"matrix dimension {lattice.size} over budget {MAX_MATRIX_DIM}")
+
+
+def _hamiltonian(nu_c: np.ndarray, lam: float, V) -> np.ndarray:
+    """diag(nu) + lam * V from an already-built potential matrix; V is None
+    for a realization without scatterers, and lam == 0 adds nothing."""
+    H = np.diag(nu_c)
+    if V is not None and lam != 0.0:
+        H = H + lam * V
+    return H
+
+
 def assemble_hamiltonian(config: PoissonConfig, lam: float,
                          lattice: MomentumLattice,
                          profile: ProfileSpec) -> HamiltonianMatrix:
     """H = diag(nu) + lam * V_hat(p-q)/L^d on the truncated window."""
-    if lam < 0:
-        raise ConfigError("coupling must be nonnegative")
-    N = lattice.size
-    if N > MAX_MATRIX_DIM:
-        raise BudgetError(f"matrix dimension {N} over budget {MAX_MATRIX_DIM}")
-    H = np.diag(lattice.nu_values.astype(complex))
-    if lam != 0.0 and config.M:
-        H = H + lam * potential_matrix(config, lattice, profile)
-    return HamiltonianMatrix(dim=N, entries=H, lattice=lattice)
+    _check_matrix(lattice, lam)
+    V = (potential_matrix(config, lattice, profile)
+         if lam != 0.0 and config.M else None)
+    return HamiltonianMatrix(
+        dim=lattice.size, lattice=lattice,
+        entries=_hamiltonian(lattice.nu_values.astype(complex), lam, V))
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +213,16 @@ def resolvent_matrix_element(H: HamiltonianMatrix, z, psi1, psi2) -> complex:
     return fsum_c(np.conj(p1) * x) / lattice.volume
 
 
-def _free_resolvent_diag(lattice, z):
-    return 1.0 / (lattice.nu_values - z)
-
-
-def _partial_term_value(Vmat, lattice, z, p1, p2, n) -> complex:
-    """<psi1, R0 (V R0)^n psi2> for one realization (free resolvents only)."""
-    r0 = _free_resolvent_diag(lattice, z)
+def _chain_terms(V, r0, p1, p2, top, volume) -> list:
+    """t_j = <psi1, R0 (V R0)^j psi2> for j = 0..top on one realization, in
+    one pass: each order extends the operator string of the one before.
+    r0 is the free resolvent diagonal 1/(nu - z)."""
     x = r0 * p2
-    for _ in range(n):
-        x = r0 * (Vmat @ x)
-    return fsum_c(np.conj(p1) * x) / lattice.volume
+    t = [fsum_c(np.conj(p1) * x) / volume]
+    for _ in range(top):
+        x = r0 * (V @ x)
+        t.append(fsum_c(np.conj(p1) * x) / volume)
+    return t
 
 
 def neumann_identity_check(config, lam, z, n, lattice, profile, psi2,
@@ -222,13 +236,15 @@ def neumann_identity_check(config, lam, z, n, lattice, profile, psi2,
     (lam ||V|| / eta)^{n+1} * ||psi|| / eta.
     """
     dist_to_spectrum(z)
-    H = assemble_hamiltonian(config, lam, lattice, profile)
+    _check_matrix(lattice, lam)
+    nu = lattice.nu_values
     Vmat = potential_matrix(config, lattice, profile) if config.M else np.zeros(
         (lattice.size, lattice.size), dtype=complex)
+    H = _hamiltonian(nu.astype(complex), lam, Vmat)
     p2 = _as_hat(psi2, lattice)
-    r0 = _free_resolvent_diag(lattice, z)
+    r0 = 1.0 / (nu - z)
 
-    full = np.linalg.solve(H.entries - z * np.eye(H.dim), p2)
+    full = np.linalg.solve(H - z * np.eye(lattice.size), p2)
 
     term = r0 * p2
     partial = term.copy()
@@ -273,18 +289,30 @@ def _se_complex(units, mean):
     return math.sqrt(var / n)
 
 
-def _run_indexed(n_units, worker, threads):
-    """Evaluate worker(i) for i in range(n_units) into a list, index order,
-    optionally thread-chunked with disjoint writes."""
+def map_realizations(n_units, seed, lattice, profile, dist, fn, threads=1):
+    """[fn(V_i) for i in range(n_units)], the Monte-Carlo realization
+    pipeline.  Realization i is drawn from the stream (seed, i) and V_i is
+    its coupling-free potential matrix (None without scatterers), built once
+    however many couplings and signs fn evaluates on it.  Results are in
+    index order; chunks run on threads with disjoint writes."""
+    _check_matrix(lattice)
     out = [None] * n_units
     ranges = chunk_ranges(n_units, max(1, -(-n_units // max(1, threads * 4))))
 
     def work(lo, hi):
         for i in range(lo, hi):
-            out[i] = worker(i)
+            cfg = sample_config(lattice, dist, rng_for(seed, i))
+            out[i] = fn(potential_matrix(cfg, lattice, profile)
+                        if cfg.M else None)
 
     run_ordered([lambda lo=lo, hi=hi: work(lo, hi) for lo, hi in ranges], threads)
     return out
+
+
+def _result(units, n_samples, seed) -> EstimatorResult:
+    mean = fsum_c(units) / len(units)
+    return EstimatorResult(mean=mean, std_error=_se_complex(units, mean),
+                           n_samples=n_samples, seed=seed)
 
 
 def estimate_partial_term(n, n_samples, z, psi1, psi2, seed, lattice, profile,
@@ -298,30 +326,31 @@ def estimate_partial_term(n, n_samples, z, psi1, psi2, seed, lattice, profile,
     dist_to_spectrum(z)
     p1 = _as_hat(psi1, lattice)
     p2 = _as_hat(psi2, lattice)
+    r0 = 1.0 / (lattice.nu_values - z)
+    volume = lattice.volume
 
     if n == 0:
         # no randomness in the string: exact, zero variance
-        val = _partial_term_value(None, lattice, z, p1, p2, 0)
+        val = _chain_terms(None, r0, p1, p2, 0, volume)[0]
         return EstimatorResult(mean=val, std_error=0.0, n_samples=n_samples,
                                seed=seed)
 
-    def one(i):
-        cfg = sample_config(lattice, dist, rng_for(seed, i))
-        Vmat = potential_matrix(cfg, lattice, profile) if cfg.M else None
-        if Vmat is None:
+    def one(V):
+        if V is None:
             return 0.0 + 0.0j
-        return _partial_term_value(Vmat, lattice, z, p1, p2, n)
+        return _chain_terms(V, r0, p1, p2, n, volume)[n]
 
-    units = _run_indexed(n_samples, one, threads)
-    mean = fsum_c(units) / n_samples
-    return EstimatorResult(mean=mean, std_error=_se_complex(units, mean),
-                           n_samples=n_samples, seed=seed)
+    units = map_realizations(n_samples, seed, lattice, profile, dist, one,
+                             threads)
+    return _result(units, n_samples, seed)
 
 
-def estimate_expectation(n_samples, lam, z, psi1, psi2, seed, lattice, profile,
-                         dist, *, threads=1, antithetic=False,
-                         control_values=None) -> EstimatorResult:
-    """MC estimate of E <psi1, (H - z)^(-1) psi2>.
+def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
+                         profile, dist, *, threads=1, antithetic=False,
+                         control_values=None) -> list:
+    """MC estimates of E <psi1, (H - z)^(-1) psi2>, one EstimatorResult per
+    coupling in lams.  Every coupling sees the same realizations (common
+    random numbers): each is drawn once for the whole sweep.
 
     Default: sample mean over i.i.d. configurations.  Two optional,
     bias-free variance reductions used by the scaling studies:
@@ -332,7 +361,9 @@ def estimate_expectation(n_samples, lam, z, psi1, psi2, seed, lattice, profile,
     - control_values {order: coefficient}: subtracts the known-mean
       single-realization expansion terms, i.e. (-lam)^j (t_j - T_j); the
       expectation is unchanged because E t_j equals the coefficient
-      exactly on the truncated model.
+      exactly on the truncated model.  The strings t_j depend on neither
+      the coupling nor the sign (the flip enters as sign^j t_j), so they
+      come from one chain pass per realization.
     """
     if n_samples < 2:
         raise ConfigError("need at least two samples")
@@ -341,61 +372,45 @@ def estimate_expectation(n_samples, lam, z, psi1, psi2, seed, lattice, profile,
     for j in controls:
         if not (isinstance(j, int) and 1 <= j <= 4):
             raise ConfigError("control orders must be integers in 1..4")
+    if antithetic and n_samples % 2:
+        raise ConfigError("antithetic pairing needs an even sample count")
+    lams = tuple(lams)
+    orders = sorted(controls)
     p1 = _as_hat(psi1, lattice)
     p2 = _as_hat(psi2, lattice)
-    eye = np.eye(lattice.size)
-    nu_c = lattice.nu_values.astype(complex)
+    nu = lattice.nu_values
+    nu_c = nu.astype(complex)
+    r0 = 1.0 / (nu - z)
+    z_eye = z * np.eye(lattice.size)
+    volume = lattice.volume
 
-    def member_value(Vmat, sign):
+    def member(V, t, lam, sign):
         """One realization's controlled value; sign flips the weights."""
-        H = np.diag(nu_c)
-        if Vmat is not None:
-            H = H + (sign * lam) * Vmat
-        A = H - z * eye
-        x = lu_solve(lu_factor(A), p2)
-        val = fsum_c(np.conj(p1) * x) / lattice.volume
-        for j in sorted(controls):
-            if Vmat is None:
-                tj = 0.0
-            else:
-                tj = sign**j * _partial_term_value(Vmat, lattice, z, p1, p2, j)
+        x = lu_solve(lu_factor(_hamiltonian(nu_c, sign * lam, V) - z_eye), p2)
+        val = fsum_c(np.conj(p1) * x) / volume
+        for j in orders:
+            tj = 0.0 if V is None else sign**j * t[j]
             val -= (-lam) ** j * (tj - controls[j])
         return val
 
-    if antithetic:
-        if n_samples % 2:
-            raise ConfigError("antithetic pairing needs an even sample count")
-        n_units = n_samples // 2
+    def one(V):
+        t = None
+        if V is not None and orders:
+            t = _chain_terms(V, r0, p1, p2, orders[-1], volume)
+        if antithetic:
+            return [0.5 * (member(V, t, lam, 1) + member(V, t, lam, -1))
+                    for lam in lams]
+        return [member(V, t, lam, 1) for lam in lams]
 
-        def one(i):
-            cfg = sample_config(lattice, dist, rng_for(seed, i))
-            Vmat = potential_matrix(cfg, lattice, profile) if cfg.M else None
-            return 0.5 * (member_value(Vmat, 1) + member_value(Vmat, -1))
-    else:
-        n_units = n_samples
-
-        def one(i):
-            cfg = sample_config(lattice, dist, rng_for(seed, i))
-            Vmat = potential_matrix(cfg, lattice, profile) if cfg.M else None
-            return member_value(Vmat, 1)
-
-    units = _run_indexed(n_units, one, threads)
-    mean = fsum_c(units) / n_units
-    return EstimatorResult(mean=mean, std_error=_se_complex(units, mean),
-                           n_samples=n_samples, seed=seed)
+    n_units = n_samples // 2 if antithetic else n_samples
+    units = map_realizations(n_units, seed, lattice, profile, dist, one,
+                             threads)
+    return [_result([u[k] for u in units], n_samples, seed)
+            for k in range(len(lams))]
 
 
 # ---------------------------------------------------------------------------
 # smoothed traces
-
-
-def _chi_support(chi, support):
-    if support is not None:
-        return float(support[0]), float(support[1])
-    sup = getattr(chi, "support", None)
-    if sup is None:
-        raise ConfigError("chi needs a .support attribute or explicit support")
-    return float(sup[0]), float(sup[1])
 
 
 def _gl_nodes(a, b, panels, order=16):
@@ -436,27 +451,3 @@ def _stone_from_eigs(mu, chi, eta, volume, a, b, n_nodes=2000) -> float:
     dens = np.sum((eta / np.pi) / ((mu[:, None] - x[None, :]) ** 2 + eta**2),
                   axis=0)
     return fsum_r(w * chi(x) * dens) / volume
-
-
-def smoothed_trace_sample(config, lam, chi, eta, lattice, profile, *,
-                          support=None, rtol=1e-10) -> float:
-    """(1/L^d) tr (chi * gamma_eta)(H) for one realization, by full
-    Hermitian eigendecomposition and adaptive convolution."""
-    if eta <= 0:
-        raise ConfigError("smoothing width must be positive")
-    a, b = _chi_support(chi, support)
-    H = assemble_hamiltonian(config, lam, lattice, profile)
-    mu = np.linalg.eigvalsh(H.entries)
-    return _trace_from_eigs(mu, chi, eta, lattice.volume, a, b, rtol)
-
-
-def smoothed_trace_stone(config, lam, chi, eta, lattice, profile, *,
-                         support=None, n_nodes=2000) -> float:
-    """Same trace through the boundary-value route: chi integrated against
-    the imaginary part of the resolvent trace on a fixed 2000-node grid."""
-    if eta <= 0:
-        raise ConfigError("smoothing width must be positive")
-    a, b = _chi_support(chi, support)
-    H = assemble_hamiltonian(config, lam, lattice, profile)
-    mu = np.linalg.eigvalsh(H.entries)
-    return _stone_from_eigs(mu, chi, eta, lattice.volume, a, b, n_nodes)

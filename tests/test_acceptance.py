@@ -160,10 +160,10 @@ def test_criterion_5_residual_scaling(capsys, std_lattice, gauss_profile,
     lams = (0.1, 0.05, 0.025)
     residuals = []
     problems = []
-    for lam in lams:
-        est = estimate_expectation(n_samples, lam, z, psi1, psi2, seed,
-                                   std_lattice, gauss_profile, rademacher,
-                                   antithetic=True, control_values=controls)
+    ests = estimate_expectation(n_samples, lams, z, psi1, psi2, seed,
+                                std_lattice, gauss_profile, rademacher,
+                                antithetic=True, control_values=controls)
+    for lam, est in zip(lams, ests):
         partial = sum((-lam) ** j * T[j] for j in range(n_keep + 1))
         residual = abs(est.mean - partial)
         rhs = main_error_bound_rhs(n_keep, 1, 1.0, eta, lam, gauss_profile,

@@ -6,7 +6,6 @@ import pytest
 from weakdis import (
     BudgetError,
     ConfigError,
-    ProfileSpec,
     WeightDistribution,
     build_lattice,
     c_tilde,
@@ -16,7 +15,6 @@ from weakdis import (
     check_sup_weight_grid,
     check_weighted_resolvent_sum,
     const_C,
-    const_C0,
     const_C1,
     main_error_bound_rhs,
     measured_cB,
@@ -50,11 +48,6 @@ def test_C_log_term_scaling(gauss_profile):
     expected = 2.0 * sinf * const_C1(2.0 * E, d) * (
         math.log(10.0 / eta + 1.0) - math.log(1.0 / eta + 1.0))
     assert diff == pytest.approx(expected, rel=1e-12)
-
-
-def test_C0_zero_profile():
-    zero = ProfileSpec(kind="gaussian", b0=0.0, sigma=1.0)
-    assert const_C0(1.0, 1, 2.0, 0.1, zero) == 0.0
 
 
 def test_resolvent_sum_bound_spot_checks(gauss_profile):

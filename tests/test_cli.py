@@ -205,3 +205,41 @@ def test_holds_needs_finite_evidence():
     for lhs, rhs in [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
                      (-math.inf, 0.0), (None, 1.0)]:
         assert not holds(lhs, rhs)
+
+
+def test_mc_validate_draws_each_realization_once(tmp_path, std_model_dict,
+                                                 monkeypatch):
+    # in-process, so the draws and the dispersion reads can be counted
+    from weakdis import cli, montecarlo
+    from weakdis.lattice import MomentumLattice
+
+    counts = {"draws": 0, "nu_reads": 0}
+    draw = montecarlo.sample_config
+    nu_values = MomentumLattice.nu_values
+
+    def counted_draw(*args, **kwargs):
+        counts["draws"] += 1
+        return draw(*args, **kwargs)
+
+    def counted_nu(self):
+        counts["nu_reads"] += 1
+        return nu_values.fget(self)
+
+    monkeypatch.setattr(montecarlo, "sample_config", counted_draw)
+    monkeypatch.setattr(MomentumLattice, "nu_values", property(counted_nu))
+    seen = []
+    for n_samples in (64, 128):
+        counts.update(draws=0, nu_reads=0)
+        cfg = write_config(tmp_path / f"c{n_samples}.json", std_model_dict,
+                           {"kind": "mc-validate", "n_keep": 2, "eta": 0.3,
+                            "E": 1.0, "lambdas": [0.1, 0.05],
+                            "n_samples": n_samples, "seed": 9,
+                            "antithetic": True, "control_orders": [1, 2]})
+        code = cli.main(["mc-validate", "--config", str(cfg), "--out",
+                         str(tmp_path / f"out{n_samples}"), "--threads", "1"])
+        assert code == 0
+        seen.append(dict(counts))
+    # one draw per antithetic pair, shared by both couplings and both signs
+    assert [c["draws"] for c in seen] == [32, 64]
+    # the dispersion is read a fixed number of times, not per realization
+    assert seen[0]["nu_reads"] == seen[1]["nu_reads"] < 32

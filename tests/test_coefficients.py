@@ -14,13 +14,9 @@ from weakdis import (
     coefficient_T,
     coefficient_T_oracle,
     conj_symmetry_check,
-    error_functional_E,
-    eta_limit_probe,
     partition_term_C,
-    partition_term_bound,
     profile_fourier_periodized,
     truncation_tail_bound,
-    volume_limit_probe,
 )
 
 Z = 1.0 + 0.3j
@@ -168,26 +164,6 @@ def test_conjugate_symmetry(std_lattice, gauss_profile, rademacher, psi_pair):
     assert rep.lhs <= 1e-12
 
 
-def test_error_functional_is_real(std_lattice, gauss_profile, rademacher,
-                                  psi_pair):
-    psi1, _ = psi_pair
-    for n in (1, 2):
-        val, resid = error_functional_E(n, std_lattice, gauss_profile,
-                                        rademacher, Z, psi1,
-                                        with_diagnostics=True)
-        assert isinstance(val, float)
-        assert resid < 1e-12
-
-
-def test_error_functional_nonnegative_order1(std_lattice, gauss_profile,
-                                             rademacher, psi_pair):
-    # E_1 = E |<psi, R0 V R0 psi>|^2-type square: must be >= 0
-    psi1, _ = psi_pair
-    val = error_functional_E(1, std_lattice, gauss_profile, rademacher, Z,
-                             psi1)
-    assert val >= 0.0
-
-
 def test_per_partition_sums_to_total(std_lattice, gauss_profile, rademacher,
                                      psi_pair):
     psi1, psi2 = psi_pair
@@ -230,39 +206,6 @@ def test_truncation_tail_dominates_K_increment(gauss_profile, rademacher,
     v8 = coefficient_T(2, lat8, gauss_profile, rademacher, Z, psi1, psi2)
     v16 = coefficient_T(2, lat16, gauss_profile, rademacher, Z, psi1, psi2)
     assert abs(v8.value - v16.value) <= v8.truncation_tail_bound
-
-
-def test_partition_term_bound_dominates(std_lattice, gauss_profile,
-                                        rademacher, psi_pair):
-    psi1, psi2 = psi_pair
-    pairs = SetPartition(2, ((1, 2),))
-    val = partition_term_C(2, pairs, std_lattice, gauss_profile, rademacher,
-                           Z, psi1, psi2)
-    rep = partition_term_bound(2, pairs, std_lattice, gauss_profile,
-                               rademacher, Z, psi1, psi2)
-    assert abs(val) <= rep.rhs
-
-
-def test_eta_limit_probe_shape(std_lattice, gauss_profile, rademacher,
-                               psi_pair):
-    psi1, psi2 = psi_pair
-    rows = eta_limit_probe(0, 1.0, [0.8, 0.4, 0.2, 0.1], std_lattice,
-                           gauss_profile, rademacher, psi1, psi2)
-    assert len(rows) == 4
-    assert rows[0]["delta"] is None
-    assert all(r["delta"] is not None for r in rows[1:])
-    with pytest.raises(ConfigError):
-        eta_limit_probe(0, 1.0, [0.1, 0.4], std_lattice, gauss_profile,
-                        rademacher, psi1, psi2)
-
-
-def test_volume_limit_probe_rows(gauss_profile, rademacher, psi_pair):
-    psi1, psi2 = psi_pair
-    rows = volume_limit_probe(2, Z, [1.0, 2.0, 4.0], 1, 4.0, gauss_profile,
-                              rademacher, psi1, psi2)
-    assert len(rows) == 3
-    for row in rows:
-        assert np.isfinite(row["value"].real)
 
 
 def test_imag_sign_flip_conjugates(std_lattice, gauss_profile, rademacher,

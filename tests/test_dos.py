@@ -135,11 +135,31 @@ def test_mc_routes_agree(std_lattice, gauss_profile, rademacher):
 
 def test_mc_seed_determinism(std_lattice, gauss_profile, rademacher):
     chi = ChiBump(center=1.0, width=0.5)
-    a = dos_mc(chi, 0.05, 0.1, 16, 5, std_lattice, gauss_profile, rademacher,
-               threads=1)
-    b = dos_mc(chi, 0.05, 0.1, 16, 5, std_lattice, gauss_profile, rademacher,
-               threads=3)
+    a, da = dos_mc(chi, 0.05, 0.1, 16, 5, std_lattice, gauss_profile,
+                   rademacher, threads=1, check_routes=True)
+    b, db = dos_mc(chi, 0.05, 0.1, 16, 5, std_lattice, gauss_profile,
+                   rademacher, threads=3, check_routes=True)
     assert a.mean == b.mean
+    assert a.std_error == b.std_error
+    assert da == db
+
+
+def test_mc_runs_on_the_requested_threads(std_lattice, gauss_profile,
+                                          rademacher, monkeypatch):
+    from weakdis import montecarlo
+
+    seen = []
+    run = montecarlo.run_ordered
+
+    def spy(tasks, threads):
+        seen.append(threads)
+        return run(tasks, threads)
+
+    monkeypatch.setattr(montecarlo, "run_ordered", spy)
+    chi = ChiBump(center=1.0, width=0.5)
+    dos_mc(chi, 0.05, 0.1, 8, 5, std_lattice, gauss_profile, rademacher,
+           threads=3)
+    assert seen == [3]
 
 
 def test_tail_bound_shrinks_with_K(gauss_profile, rademacher):

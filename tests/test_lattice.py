@@ -9,13 +9,11 @@ from weakdis import (
     ProfileSpec,
     Wavepacket,
     build_lattice,
-    discrete_integral,
     dist_to_spectrum,
     fourier_decay_check,
     nu,
     profile_fourier_periodized,
     profile_periodized_value,
-    star_norm,
     wavepacket_fourier_periodized,
 )
 from weakdis.lattice import _int_grid, fourier_quad_axis, int_box
@@ -35,12 +33,6 @@ def test_lattice_points_are_integer_multiples():
     assert got == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
 
 
-def test_discrete_integral_constant():
-    # (1/L^d) sum over 7 points of 1 = 7/2
-    lat = build_lattice(1, 2.0, 3)
-    assert discrete_integral(np.ones(lat.size), lat) == pytest.approx(3.5)
-
-
 def test_nu_sum_small_lattice():
     # d=1, L=1, K=1: points -1, 0, 1 -> nu = 1/2, 0, 1/2; sum = 1
     lat = build_lattice(1, 1.0, 1)
@@ -57,14 +49,6 @@ def test_dist_to_spectrum():
     assert dist_to_spectrum(-2.0 + 1.0j) == pytest.approx(math.sqrt(5.0))
     with pytest.raises(ConfigError):
         dist_to_spectrum(1.0)
-
-
-def test_star_norms():
-    lat = build_lattice(1, 2.0, 3)
-    vals = np.ones(lat.size)
-    assert star_norm(vals, 1, lat) == pytest.approx(3.5)
-    assert star_norm(vals, 2, lat) == pytest.approx(math.sqrt(3.5))
-    assert star_norm(vals, np.inf, lat) == pytest.approx(1.0)
 
 
 def test_flat_index_roundtrip():

@@ -5,7 +5,6 @@ import pytest
 
 from weakdis import (
     BudgetError,
-    ChiBump,
     ConfigError,
     PoissonConfig,
     Wavepacket,
@@ -20,8 +19,6 @@ from weakdis import (
     resolvent_matrix_element,
     rng_for,
     sample_config,
-    smoothed_trace_sample,
-    smoothed_trace_stone,
     wavepacket_fourier_periodized,
 )
 from weakdis.montecarlo import _draw_poisson, potential_fourier
@@ -183,18 +180,38 @@ def test_estimator_thread_invariance(std_lattice, gauss_profile, rademacher,
                                      psi_pair):
     psi1, psi2 = psi_pair
     kw = dict(antithetic=True)
-    a = estimate_expectation(400, 0.1, Z, psi1, psi2, 7, std_lattice,
-                             gauss_profile, rademacher, threads=1, **kw)
-    b = estimate_expectation(400, 0.1, Z, psi1, psi2, 7, std_lattice,
-                             gauss_profile, rademacher, threads=4, **kw)
+    [a] = estimate_expectation(400, [0.1], Z, psi1, psi2, 7, std_lattice,
+                               gauss_profile, rademacher, threads=1, **kw)
+    [b] = estimate_expectation(400, [0.1], Z, psi1, psi2, 7, std_lattice,
+                               gauss_profile, rademacher, threads=4, **kw)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
+
+
+def test_lambda_sweep_equals_single_lambda_runs(std_lattice, gauss_profile,
+                                                 rademacher, psi_pair):
+    # every coupling of a sweep sees the draws a run of its own would make
+    psi1, psi2 = psi_pair
+    T = {j: coefficient_T(j, std_lattice, gauss_profile, rademacher, Z, psi1,
+                          psi2).value for j in (1, 2, 3)}
+    lams = [0.1, 0.05, 0.025]
+    for kw in ({}, {"antithetic": True, "control_values": T}):
+        sweep = estimate_expectation(200, lams, Z, psi1, psi2, 7, std_lattice,
+                                     gauss_profile, rademacher, threads=2,
+                                     **kw)
+        assert len(sweep) == len(lams)
+        for lam, est in zip(lams, sweep):
+            [single] = estimate_expectation(200, [lam], Z, psi1, psi2, 7,
+                                            std_lattice, gauss_profile,
+                                            rademacher, **kw)
+            assert est.mean == single.mean
+            assert est.std_error == single.std_error
 
 
 def test_antithetic_kills_odd_orders_exactly(std_lattice, gauss_profile,
                                              rademacher):
     # flipping every weight negates odd-order chain terms realization-wise
-    from weakdis.montecarlo import _partial_term_value, _as_hat
+    from weakdis.montecarlo import _chain_terms, _as_hat
 
     cfg = sample_config(std_lattice, rademacher, rng_for(5, 3))
     assert cfg.M > 0
@@ -204,13 +221,12 @@ def test_antithetic_kills_odd_orders_exactly(std_lattice, gauss_profile,
     p = _as_hat(psi, std_lattice)
     Vp = potential_matrix(cfg, std_lattice, gauss_profile)
     Vm = potential_matrix(flipped, std_lattice, gauss_profile)
+    r0 = 1.0 / (std_lattice.nu_values - Z)
+    tp = _chain_terms(Vp, r0, p, p, 3, std_lattice.volume)
+    tm = _chain_terms(Vm, r0, p, p, 3, std_lattice.volume)
     for j in (1, 3):
-        tp = _partial_term_value(Vp, std_lattice, Z, p, p, j)
-        tm = _partial_term_value(Vm, std_lattice, Z, p, p, j)
-        assert tm == -tp
-    t2p = _partial_term_value(Vp, std_lattice, Z, p, p, 2)
-    t2m = _partial_term_value(Vm, std_lattice, Z, p, p, 2)
-    assert t2m == t2p
+        assert tm[j] == -tp[j]
+    assert tm[2] == tp[2]
 
 
 def test_control_variates_change_spread_not_mean_structure(
@@ -218,11 +234,11 @@ def test_control_variates_change_spread_not_mean_structure(
     psi1, psi2 = psi_pair
     T = {j: coefficient_T(j, std_lattice, gauss_profile, rademacher, Z, psi1,
                           psi2).value for j in (1, 2, 3)}
-    plain = estimate_expectation(2000, 0.05, Z, psi1, psi2, 7, std_lattice,
-                                 gauss_profile, rademacher)
-    ctrl = estimate_expectation(2000, 0.05, Z, psi1, psi2, 7, std_lattice,
-                                gauss_profile, rademacher, antithetic=True,
-                                control_values=T)
+    [plain] = estimate_expectation(2000, [0.05], Z, psi1, psi2, 7,
+                                   std_lattice, gauss_profile, rademacher)
+    [ctrl] = estimate_expectation(2000, [0.05], Z, psi1, psi2, 7, std_lattice,
+                                  gauss_profile, rademacher, antithetic=True,
+                                  control_values=T)
     assert ctrl.std_error < plain.std_error / 10
     # both estimate the same quantity
     diff = abs(ctrl.mean - plain.mean)
@@ -233,19 +249,8 @@ def test_antithetic_requires_even_samples(std_lattice, gauss_profile,
                                           rademacher, psi_pair):
     psi1, psi2 = psi_pair
     with pytest.raises(ConfigError):
-        estimate_expectation(401, 0.1, Z, psi1, psi2, 7, std_lattice,
+        estimate_expectation(401, [0.1], Z, psi1, psi2, 7, std_lattice,
                              gauss_profile, rademacher, antithetic=True)
-
-
-def test_smoothed_trace_routes_agree(std_lattice, gauss_profile, rademacher):
-    chi = ChiBump(center=1.0, width=0.5)
-    for idx in range(3):
-        cfg = sample_config(std_lattice, rademacher, rng_for(4, idx))
-        a = smoothed_trace_sample(cfg, 0.05, chi, 0.1, std_lattice,
-                                  gauss_profile)
-        b = smoothed_trace_stone(cfg, 0.05, chi, 0.1, std_lattice,
-                                 gauss_profile)
-        assert abs(a - b) <= 1e-8
 
 
 def test_matrix_dimension_budget(gauss_profile, rademacher):
