@@ -9,6 +9,8 @@ numbers are presented as ground truth.
 """
 
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -19,12 +21,7 @@ from . import partitions as pt
 from ._accum import fsum_c, fsum_r  # noqa: F401
 from .coefficients import bhat_star_norms
 from .errors import BudgetError, ConfigError
-from .lattice import (
-    MomentumLattice,
-    ProfileSpec,
-    int_box,
-    profile_fourier_periodized,
-)
+from .lattice import MomentumLattice, ProfileSpec, profile_fourier_periodized
 from .report import BoundReport
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -128,51 +125,40 @@ def const_C(E: float, d: int, L: float, eta: float,
     return 2.0 * sinf * (log_term + extra) + 2.0 * s1
 
 
-# one-slot cache for the big-window lattice data: the verification grids
-# sweep (E, eta) with (d, L) fixed, so a single slot gets full reuse
-_WINDOW_SLOT = {"key": None, "nu": None, "absf": None}
-
 _BIG_WINDOW = {1: 4096, 2: 384, 3: 48}
 
 
-def _abs_transform_values(profile: ProfileSpec, pts: np.ndarray, L: float,
-                          truncated: bool) -> np.ndarray:
-    if truncated:
-        return np.abs(profile_fourier_periodized(profile, pts, L))
-    axis = _ft_axis_abs(profile)
-    vals = np.full(pts.shape[0], abs(profile.b0))
-    for j in range(pts.shape[1]):
-        vals = vals * np.asarray(axis(pts[:, j]), dtype=float)
-    return vals
-
-
+# one slot: the verification grids sweep (E, eta) with (d, L) fixed
+@lru_cache(maxsize=1)
 def _big_window_data(profile: ProfileSpec, d: int, L: float, X: int,
                      truncated: bool):
-    key = (profile, d, L, X, truncated)
-    if _WINDOW_SLOT["key"] != key:
-        chunks_nu = []
-        chunks_f = []
-        side = np.arange(-X, X + 1)
-        if d == 1:
-            pts = side[:, None] / L
-            chunks_nu.append(0.5 * (pts[:, 0] ** 2))
-            chunks_f.append(_abs_transform_values(profile, pts, L, truncated))
-        else:
-            rest = int_box(d - 1, X)
-            for m1 in side:
-                pts = np.concatenate(
-                    [np.full((rest.shape[0], 1), m1), rest], axis=1) / L
-                chunks_nu.append(0.5 * np.sum(pts**2, axis=-1))
-                chunks_f.append(_abs_transform_values(profile, pts, L,
-                                                      truncated))
-        _WINDOW_SLOT["key"] = key
-        _WINDOW_SLOT["nu"] = np.concatenate(chunks_nu)
-        _WINDOW_SLOT["absf"] = np.concatenate(chunks_f)
-    return _WINDOW_SLOT["nu"], _WINDOW_SLOT["absf"]
+    """(nu, |f|) at the points m / L, ||m||_inf <= X, where the transform f
+    is not an exact zero, in lexicographic order of m; read-only.
+
+    |f| = |b0| prod_j |axis factor at m_j / L| is separable, so a point with
+    a zero axis factor adds an exact +0.0 to every window sum and is left
+    out: a full-space Gaussian keeps only |m_j| / L below its underflow
+    point."""
+    q = np.arange(-X, X + 1) / L
+    if truncated:
+        axis = np.abs(profile_fourier_periodized(replace(profile, b0=1.0),
+                                                 q[:, None], L))
+    else:
+        axis = _ft_axis_abs(profile)(q)
+    keep = np.flatnonzero(axis)
+    q, axis = q[keep], axis[keep]
+    idx = np.indices((keep.size,) * d).reshape(d, -1).T
+    nu = 0.5 * np.sum(q[idx] ** 2, axis=-1)
+    absf = np.full(idx.shape[0], abs(profile.b0))
+    for j in range(d):
+        absf = absf * axis[idx[:, j]]
+    nu.setflags(write=False)
+    absf.setflags(write=False)
+    return nu, absf
 
 
 def check_resolvent_sum_bound(E: float, d: int, L: float, eta: float,
-                              profile: ProfileSpec, *, X: int = None,
+                              profile: ProfileSpec, *,
                               truncated: bool = False) -> BoundReport:
     """Lattice sum (1/L^d) sum |f(q)| / |nu(q) - E -+ i eta| against the
     closed-form constant, with f the profile transform sampled on the dual
@@ -181,7 +167,7 @@ def check_resolvent_sum_bound(E: float, d: int, L: float, eta: float,
     sum runs over a large window; the omitted mass is bounded and included
     in the left side.  Summing moduli dominates the modulus of either
     signed sum, so the check is sign-independent."""
-    X = X or _BIG_WINDOW[d] * max(1, int(L))
+    X = _BIG_WINDOW[d] * max(1, int(L))
     nu_vals, absf = _big_window_data(profile, d, L, X, truncated)
     lhs_main = fsum_r(absf / np.hypot(nu_vals - E, eta)) / L**d
     # outside the window nu >= (X/L)^2/2 so the resolvent factor is tiny,
@@ -286,19 +272,13 @@ def check_arctan_bound(f, a: float, b: float, *,
 def _weighted_square_sum(E, tau, eta, d, L, X):
     """(1/L^d) sum over ||m||_inf <= X of <a>^tau / |a^2-E-i eta|^2 plus an
     integral-comparison remainder for the rest of the dual lattice."""
-    side = np.arange(-X, X + 1)
-    total = 0.0
-    if d == 1:
-        a2 = (side / L) ** 2
-        total = fsum_r((1.0 + a2) ** (tau / 2.0) / ((a2 - E) ** 2 + eta**2))
-    else:
-        rest2 = np.sum(int_box(d - 1, X) ** 2, axis=-1)
-        parts = []
-        for m1 in side:
-            a2 = (m1**2 + rest2) / L**2
-            parts.append(fsum_r((1.0 + a2) ** (tau / 2.0)
-                                / ((a2 - E) ** 2 + eta**2)))
-        total = fsum_r(parts)
+    side2 = np.arange(-X, X + 1) ** 2
+    # exact integer |m|^2 on the window, first coordinate on axis 0
+    msq = sum(side2.reshape((-1,) + (1,) * (d - 1 - j)) for j in range(d))
+    a2 = msq / L**2
+    vals = (1.0 + a2) ** (tau / 2.0) / ((a2 - E) ** 2 + eta**2)
+    # one exact sum per first coordinate, then over those
+    total = fsum_r([fsum_r(row) for row in vals.reshape(side2.size, -1)])
     if (X / L) ** 2 < 2.0 * E + 1.0:
         raise ConfigError("window too small for the remainder estimate")
     # shells ||m||_inf = s > X: a^2 >= (s/L)^2 >= 2E so (a^2-E)^2 >= a^4/4

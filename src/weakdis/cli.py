@@ -31,7 +31,7 @@ from .lattice import (
     build_lattice,
     fourier_decay_check,
 )
-from .report import holds
+from .report import BoundReport, holds
 
 STUDIES = ("expand", "mc-validate", "dos", "bounds", "scaling", "partitions")
 
@@ -142,18 +142,17 @@ def build_model(model: dict):
     return lattice, profile, dist, psi1, psi2
 
 
-def _model_meta(cfg: dict) -> dict:
-    model = cfg["model"]
-    prof = model.get("profile", {})
+def _model_meta(lattice, profile, dist) -> dict:
+    """The built model's parameters, as the result files record them."""
     return {
-        "d": int(model.get("d", 1)),
-        "L": float(model.get("L", 2.0)),
-        "K": int(model.get("K", 8)),
-        "profile_kind": prof.get("kind", "gaussian"),
-        "profile_b0": float(prof.get("b0", 1.0)),
-        "profile_param": float(prof.get("sigma", 1.0)) if prof.get(
-            "kind", "gaussian") == "gaussian" else float(prof.get("r", 0.0)),
-        "weights": model.get("weights", {}).get("kind", "rademacher"),
+        "d": lattice.d,
+        "L": lattice.L,
+        "K": lattice.K,
+        "profile_kind": profile.kind,
+        "profile_b0": profile.b0,
+        "profile_param": (profile.sigma if profile.kind == "gaussian"
+                          else profile.r),
+        "weights": dist.kind,
     }
 
 
@@ -194,7 +193,7 @@ def cmd_expand(cfg, out_dir, threads, check):
     budget = int(study.get("budget", coeff.DEFAULT_TERM_BUDGET))
     per_partition = bool(cfg.get("output", {}).get("per_partition", False))
 
-    meta = _model_meta(cfg)
+    meta = _model_meta(lattice, profile, dist)
     mkeys, mvals = _meta_cols(meta)
     rows = []
     part_rows = []
@@ -203,10 +202,11 @@ def cmd_expand(cfg, out_dir, threads, check):
             res = coeff.coefficient_T(n, lattice, profile, dist, z, psi1,
                                       psi2, per_partition=per_partition,
                                       threads=threads, budget=budget)
+            tail = coeff.truncation_tail_bound(n, lattice, profile, dist, z,
+                                               psi1, psi2)
             rows.append([str(n), _fmt(z.real), _fmt(z.imag),
                          _fmt(res.value.real), _fmt(res.value.imag),
-                         str(res.partition_count),
-                         _fmt(res.truncation_tail_bound)] + mvals)
+                         str(res.partition_count), _fmt(tail)] + mvals)
             if per_partition:
                 for blocks, val in res.per_partition.items():
                     label = "|".join("".join(str(x) for x in b)
@@ -264,7 +264,7 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
                                    threads=threads).value
     controls = {j: T[j] for j in control_orders}
 
-    meta = _model_meta(cfg)
+    meta = _model_meta(lattice, profile, dist)
     mkeys, mvals = _meta_cols(meta)
     rows = []
     report_rows = []
@@ -361,7 +361,7 @@ def cmd_dos(cfg, out_dir, threads, check):
     tol = 3.0 * est.std_error + surrogate
     agree = holds(gap, tol)
 
-    meta = _model_meta(cfg)
+    meta = _model_meta(lattice, profile, dist)
     mkeys, mvals = _meta_cols(meta)
     csv_rows = []
     for row in rows:
@@ -395,7 +395,8 @@ def cmd_dos(cfg, out_dir, threads, check):
     return 0
 
 
-def _bound_rows(cfg, threads):
+def _bound_rows(cfg):
+    """Every BoundReport of the bounds study, in output order."""
     lattice, profile, dist, _, _ = build_model(cfg["model"])
     study = cfg["study"]
     E_grid = [float(x) for x in study.get("E_grid", [0.5, 1.0, 2.0])]
@@ -405,72 +406,57 @@ def _bound_rows(cfg, threads):
     d_grid = [int(x) for x in study.get("d_grid", [1, 2])]
     seed = int(study.get("seed", 1))
 
-    reports = []
     spot = abs(bnd.const_C1(1.0, 1) - 4.0 * math.sqrt(2.0))
-    reports.append(("const_C1_spot", spot, 1e-12, "", {}))
-
-    reports.append(_as_row(fourier_decay_check(profile, lattice)))
+    reports = [BoundReport(name="const_C1_spot", lhs=spot, rhs=1e-12),
+               fourier_decay_check(profile, lattice)]
 
     truncated = bool(study.get("truncated_transform", False))
     for d in d_grid:
         for L in L_grid:
             for E, eta in product(E_grid, eta_grid):
-                reports.append(_as_row(
-                    bnd.check_resolvent_sum_bound(E, d, L, eta, profile,
-                                                  truncated=truncated)))
+                reports.append(bnd.check_resolvent_sum_bound(
+                    E, d, L, eta, profile, truncated=truncated))
     log_ds = [d for d in d_grid if profile.kind == "gaussian" or d == 1]
     for d in log_ds:
         for E, eta in product(E_grid, eta_grid):
-            reports.append(_as_row(
-                bnd.check_log_integral_bound(E, d, eta, profile)))
+            reports.append(bnd.check_log_integral_bound(E, d, eta, profile))
 
-    reports.append(_as_row(bnd.check_arctan_bound(
-        profile.axis_value, -10.0, 10.0)))
+    reports.append(bnd.check_arctan_bound(profile.axis_value, -10.0, 10.0))
 
     cfg_sample = mc.sample_config(lattice, dist, mc.rng_for(seed, 0))
-    reports.append(_as_row(dosmod.trace_class_bound_check(
+    reports.append(dosmod.trace_class_bound_check(
         cfg_sample, 0.5, lambda x: 1.0 / (1.0 + np.asarray(x) ** 2), 1.0,
-        lattice, profile)))
+        lattice, profile))
 
-    reports.append(_as_row(bnd.check_weighted_resolvent_sum(
-        1.0, 0.0, 1e-3, lattice)))
-    reports.append(_as_row(dosmod.dos_eta_grid_check(1.0, lattice)))
+    reports.append(bnd.check_weighted_resolvent_sum(1.0, 0.0, 1e-3, lattice))
+    reports.append(dosmod.dos_eta_grid_check(1.0, lattice))
 
     if bool(study.get("include_sup_weight", False)):
         qs = [(0.0,), (1.0,), (2.0,), (4.0,)]
-        reports.append(_as_row(bnd.check_sup_weight_grid(
-            1.0 / 32.0, 0.5, 0.5, qs, sigma=1)))
+        reports.append(bnd.check_sup_weight_grid(
+            1.0 / 32.0, 0.5, 0.5, qs, sigma=1))
     return reports
 
 
-def _as_row(report):
-    return (report.name, report.lhs, report.rhs, report.notes,
-            report.context)
-
-
 def cmd_bounds(cfg, out_dir, threads, check):
-    from .report import BoundReport
-
     rows = []
     failures = []
-    for name, lhs, rhs, notes, context in _bound_rows(cfg, threads):
-        rep = BoundReport(name=name, lhs=lhs, rhs=rhs, context=context,
-                          notes=notes)
-        rows.append([name, _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.margin),
-                     str(rep.passed), notes,
-                     json.dumps(context, sort_keys=True, default=str)])
+    for rep in _bound_rows(cfg):
+        rows.append([rep.name, _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.margin),
+                     str(rep.passed), rep.notes,
+                     json.dumps(rep.context, sort_keys=True, default=str)])
         if not rep.passed:
-            failures.append((name, rep.lhs, rep.rhs, context))
+            failures.append(rep)
     _write_csv(os.path.join(out_dir, "bounds.csv"),
                ["name", "lhs", "rhs", "margin", "passed", "notes",
                 "context"], rows)
     _write_json(os.path.join(out_dir, "bounds.json"),
-                {"checks": len(rows), "failures": [f[0] for f in failures]})
+                {"checks": len(rows), "failures": [f.name for f in failures]})
     if check and failures:
-        name, lhs, rhs, context = failures[0]
+        rep = failures[0]
         raise CheckFailure(
-            f"bound check {name} failed: lhs={lhs:.6g} rhs={rhs:.6g} "
-            f"at {context}")
+            f"bound check {rep.name} failed: lhs={rep.lhs:.6g} "
+            f"rhs={rep.rhs:.6g} at {rep.context}")
     return 0
 
 

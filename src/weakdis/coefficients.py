@@ -14,6 +14,7 @@ term sets (the equality tests in the suite rely on this).
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,13 +40,13 @@ _CHUNK_ELEMS = 1 << 21
 
 @dataclass
 class CoefficientResult:
-    """A computed expansion coefficient with truncation diagnostics."""
+    """A computed expansion coefficient with its term counts; the window's
+    truncation tail is ``truncation_tail_bound``, computed on request."""
 
     value: complex
     n: int
     partition_count: int
     term_count: int
-    truncation_tail_bound: float
     per_partition: dict = None
 
 
@@ -53,30 +54,21 @@ class CoefficientResult:
 # cached tables
 
 
-_TABLE_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def bhat_difference_table(profile: ProfileSpec, lattice: MomentumLattice):
     """Profile transform on the difference window (integer range 2K),
-    flattened in lexicographic order."""
-    key = ("bhat", profile, lattice)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
-        tab = profile_fourier_periodized(profile, pts, lattice.L)
-        tab.setflags(write=False)
-        _TABLE_CACHE[key] = tab
+    flattened in lexicographic order; cached, read-only."""
+    pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
+    tab = profile_fourier_periodized(profile, pts, lattice.L)
+    tab.setflags(write=False)
     return tab
 
 
+@lru_cache(maxsize=None)
 def psi_hat_vector(psi: Wavepacket, lattice: MomentumLattice):
-    """Wavepacket transform on the lattice, cached."""
-    key = ("psi", psi, lattice)
-    vec = _TABLE_CACHE.get(key)
-    if vec is None:
-        vec = wavepacket_fourier_periodized(psi, lattice.points, lattice.L)
-        vec.setflags(write=False)
-        _TABLE_CACHE[key] = vec
+    """Wavepacket transform on the lattice; cached, read-only."""
+    vec = wavepacket_fourier_periodized(psi, lattice.points, lattice.L)
+    vec.setflags(write=False)
     return vec
 
 
@@ -94,16 +86,13 @@ def _diff_index(s, K, d):
 # the resolved per-partition lattice sum
 
 
-def _chain_sum(A, lattice, btab, zs, *, sum_u0, psi_w=None, threads=1,
-               budget=DEFAULT_TERM_BUDGET):
+def _chain_sum(A, lattice, btab, zs, *, threads=1, budget=DEFAULT_TERM_BUDGET):
     """Sum the resolved integrand of one partition over the truncated window.
 
     zs is one entry per chain slot (length A.n + 1): the spectral parameter
     of the resolvent factor there.
 
-    Returns (value, term_count) when sum_u0 is true, else (per-u0 array,
-    term_count); the outer test-function weights psi_w are applied only in
-    the summed form.
+    Returns (per-u0 array, term_count): one chain sum per outer momentum.
     """
     d, K, L = lattice.d, lattice.K, lattice.L
     n = A.n
@@ -157,9 +146,6 @@ def _chain_sum(A, lattice, btab, zs, *, sum_u0, psi_w=None, threads=1,
         res[lo:hi] = np.sum(acc, axis=1)
 
     run_ordered([lambda lo=lo, hi=hi: work(lo, hi) for lo, hi in ranges], threads)
-
-    if sum_u0:
-        return fsum_c(psi_w * res), N * Nv
     return res, N * Nv
 
 
@@ -169,12 +155,13 @@ def _prefactor(row: pt.LivePartition, lattice) -> float:
 
 
 def _live_terms(rows, lattice, btab, zs, psi_w, *, threads, budget):
-    """(prefactor * summed chain, lattice term count) of each live row."""
+    """(prefactor * psi-weighted chain sum, lattice term count) of each
+    live row."""
     out = []
     for row in rows:
-        raw, terms = _chain_sum(row.partition, lattice, btab, zs, sum_u0=True,
-                                psi_w=psi_w, threads=threads, budget=budget)
-        out.append((_prefactor(row, lattice) * raw, terms))
+        res, terms = _chain_sum(row.partition, lattice, btab, zs,
+                                threads=threads, budget=budget)
+        out.append((_prefactor(row, lattice) * fsum_c(psi_w * res), terms))
     return out
 
 
@@ -219,14 +206,11 @@ def coefficient_T(n, lattice, profile, dist, z, psi1, psi2, *,
         # every partition is reported; the dead ones contribute exactly zero
         per = dict.fromkeys((A.blocks for A in pt.all_partitions(n)), 0.0 + 0.0j)
         per.update((row.partition.blocks, val) for row, (val, _) in zip(rows, terms))
-
-    tail = truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2)
     return CoefficientResult(
         value=fsum_c([val for val, _ in terms]),
         n=n,
         partition_count=pt.bell_number(n),
         term_count=sum(cnt for _, cnt in terms),
-        truncation_tail_bound=tail,
         per_partition=per,
     )
 

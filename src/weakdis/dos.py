@@ -89,9 +89,9 @@ def _dos_value(n, rows, E, eta, lattice, btab, *, threads, budget) -> complex:
     vals = []
     for row in rows:
         rp, _ = _chain_sum(row.partition, lattice, btab, (zp,) * (n + 1),
-                           sum_u0=False, threads=threads, budget=budget)
+                           threads=threads, budget=budget)
         rm, _ = _chain_sum(row.partition, lattice, btab, (zm,) * (n + 1),
-                           sum_u0=False, threads=threads, budget=budget)
+                           threads=threads, budget=budget)
         vals.append(_prefactor(row, lattice) * fsum_c((rp - rm) / 2j))
     return fsum_c(vals)
 

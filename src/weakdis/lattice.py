@@ -17,6 +17,7 @@ corrections for Gaussians) via the scaled Faddeeva function.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import wofz
@@ -96,17 +97,11 @@ def int_box(d, X) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-_GRID_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _int_grid(d, K):
     """Cached, read-only int_box(d, K): the lattice window."""
-    key = (d, K)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        grid = int_box(d, K)
-        grid.setflags(write=False)
-        _GRID_CACHE[key] = grid
+    grid = int_box(d, K)
+    grid.setflags(write=False)
     return grid
 
 
@@ -322,8 +317,9 @@ def _bump_ft_axis(r, q):
     return out
 
 
-def profile_fourier_periodized(profile: ProfileSpec, p, L, tol=1e-12):
-    """Periodized Fourier transform B_hat(p) of the profile.
+def profile_fourier_periodized(profile: ProfileSpec, p, L):
+    """Periodized Fourier transform B_hat(p) of the profile, in closed form
+    (exact to rounding).
 
     Parameters
     ----------
@@ -331,9 +327,6 @@ def profile_fourier_periodized(profile: ProfileSpec, p, L, tol=1e-12):
         Momentum points (ordinarily on the dual lattice).
     L : float
         Box side.
-    tol : float
-        Absolute accuracy target; the closed forms are exact to rounding,
-        so this only constrains the quadrature fallback.
 
     Returns
     -------
@@ -355,7 +348,7 @@ def profile_fourier_periodized(profile: ProfileSpec, p, L, tol=1e-12):
     return vals[0] if scalar else vals
 
 
-def wavepacket_fourier_periodized(psi: Wavepacket, p, L, tol=1e-12):
+def wavepacket_fourier_periodized(psi: Wavepacket, p, L):
     """Periodized Fourier transform psi_hat(p) of a wavepacket.
 
     Same box-truncated integral as for profiles; complex in general because
@@ -374,7 +367,7 @@ def wavepacket_fourier_periodized(psi: Wavepacket, p, L, tol=1e-12):
 
 
 def fourier_quad_axis(func, L, q, tol=1e-12, max_doublings=14):
-    """Quadrature fallback/oracle for one-axis box-truncated transforms.
+    """Quadrature oracle for one-axis box-truncated transforms.
 
     Composite Gauss-Legendre with panel doubling until two successive levels
     agree within tol (a Richardson-style verification).

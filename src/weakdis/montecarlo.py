@@ -13,6 +13,7 @@ Every sampler (here and in ``dos``) draws through ``map_realizations``.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -131,23 +132,29 @@ def potential_fourier(config: PoissonConfig, profile: ProfileSpec,
     return complex(out[0]) if scalar else out
 
 
-def _phase_sums(config: PoissonConfig, lattice: MomentumLattice) -> np.ndarray:
-    """sum_gamma v_gamma exp(-2 pi i k . y_gamma) on the flattened
-    difference window (same layout as the profile table)."""
+@lru_cache(maxsize=None)
+def _difference_layout(lattice: MomentumLattice):
+    """(phase points int_box(d, 2K) / L of the flattened difference window,
+    difference-table index of every lattice pair (p, q)); cached, read-only."""
     pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
-    if config.M == 0:
-        return np.zeros(pts.shape[0], dtype=complex)
-    return np.exp(-2j * np.pi * (pts @ config.positions.T)) @ config.weights
+    ints = lattice.ints
+    didx = _diff_index(ints[:, None, :] - ints[None, :, :], lattice.K, lattice.d)
+    pts.setflags(write=False)
+    didx.setflags(write=False)
+    return pts, didx
 
 
 def potential_matrix(config: PoissonConfig, lattice: MomentumLattice,
                      profile: ProfileSpec) -> np.ndarray:
     """Coupling-free potential matrix V_{pq} = V_hat(p-q) / L^d."""
     btab = bhat_difference_table(profile, lattice)
-    S = _phase_sums(config, lattice)
+    pts, didx = _difference_layout(lattice)
+    # sum_gamma v_gamma exp(-2 pi i k . y_gamma) on the difference window
+    if config.M == 0:
+        S = np.zeros(pts.shape[0], dtype=complex)
+    else:
+        S = np.exp(-2j * np.pi * (pts @ config.positions.T)) @ config.weights
     vdiff = (btab * S) / lattice.volume
-    ints = lattice.ints
-    didx = _diff_index(ints[:, None, :] - ints[None, :, :], lattice.K, lattice.d)
     return vdiff[didx]
 
 

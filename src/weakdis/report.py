@@ -45,13 +45,3 @@ class BoundReport:
     def passed(self) -> bool:
         return holds(self.lhs, self.rhs, PASS_SLACK)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": self.passed,
-            "context": dict(self.context),
-            "notes": self.notes,
-        }

@@ -45,7 +45,7 @@ STUDIES = {
             "order": 1, "chi": {"center": 1.0, "width": 0.5},
             "n_samples": 16, "seed": 5, "check_routes": True},
     "bounds": {"kind": "bounds", "E_grid": [1.0], "eta_grid": [0.1],
-               "L_grid": [2], "d_grid": [1], "seed": 1},
+               "L_grid": [2], "d_grid": [1, 2], "seed": 1},
     "scaling": {"kind": "scaling", "n": 2, "eps": 0.5, "E": 1.0,
                 "lambdas": [0.1, 0.05, 0.025]},
     "partitions": {"kind": "partitions", "n_max": 3, "M_max": 3,

@@ -6,6 +6,7 @@ import pytest
 from weakdis import (
     BudgetError,
     ConfigError,
+    ProfileSpec,
     WeightDistribution,
     build_lattice,
     c_tilde,
@@ -18,9 +19,17 @@ from weakdis import (
     const_C1,
     main_error_bound_rhs,
     measured_cB,
+    profile_fourier_periodized,
     scaling_exponent,
 )
-from weakdis.bounds import _maximize_sup_weight, sup_weight_decoupled
+from weakdis.bounds import (
+    _big_window_data,
+    _ft_axis_abs,
+    _maximize_sup_weight,
+    _weighted_square_sum,
+    sup_weight_decoupled,
+)
+from weakdis.lattice import int_box
 
 
 def test_C1_closed_form():
@@ -62,6 +71,59 @@ def test_resolvent_sum_bound_spot_checks(gauss_profile):
 def test_resolvent_sum_bound_bump(bump_profile):
     rep = check_resolvent_sum_bound(1.0, 1, 2.0, 0.01, bump_profile)
     assert rep.passed
+
+
+def test_gaussian_window_keeps_only_nonzero_points(gauss_profile):
+    # the full-space Gaussian transform underflows to exact zeros past
+    # |k| ~ 15, so of the (2 * 768 + 1)^2 = 2,362,369 window points at
+    # d = 2, L = 2 only the nonzero band is kept
+    nu, absf = _big_window_data(gauss_profile, 2, 2.0, 768, False)
+    assert nu.shape == absf.shape
+    assert 0 < absf.size < 10**4
+
+
+def _full_window(profile, d, L, X, truncated):
+    """(nu, |f|) on every point of int_box(d, X) / L, zeros included."""
+    pts = int_box(d, X) / L
+    nu = 0.5 * np.sum(pts**2, axis=-1)
+    if truncated:
+        return nu, np.abs(profile_fourier_periodized(profile, pts, L))
+    absf = np.full(pts.shape[0], abs(profile.b0))
+    for j in range(d):
+        absf = absf * _ft_axis_abs(profile)(pts[:, j])
+    return nu, absf
+
+
+@pytest.mark.parametrize("profile", [
+    ProfileSpec(kind="gaussian", b0=-0.7, sigma=1.0),
+    ProfileSpec(kind="cosine-bump", b0=1.0, r=0.3),
+], ids=["gaussian", "cosine-bump"])
+@pytest.mark.parametrize("truncated", [False, True])
+def test_window_sum_equals_full_window_sum(profile, truncated):
+    for d, L, X in [(1, 1.0, 20), (1, 2.0, 40), (2, 1.0, 20), (3, 1.0, 20)]:
+        nu, absf = _big_window_data(profile, d, L, X, truncated)
+        ref_nu, ref_absf = _full_window(profile, d, L, X, truncated)
+        for E, eta in [(0.5, 1e-3), (1.0, 0.1), (2.0, 1.0)]:
+            got = math.fsum(absf / np.hypot(nu - E, eta))
+            want = math.fsum(ref_absf / np.hypot(ref_nu - E, eta))
+            assert got == want, (d, L, E, eta)
+
+
+def test_weighted_square_sum_equals_full_window_sum():
+    for d, L, X in [(1, 2.0, 64), (1, 3.0, 64), (2, 2.0, 24), (3, 1.0, 8)]:
+        for E, tau, eta in [(1.0, 0.0, 1e-3), (0.5, 0.5, 0.1)]:
+            if not tau < 4 - d:
+                continue
+            a2 = np.sum(int_box(d, X) ** 2, axis=-1) / L**2
+            vals = (1.0 + a2) ** (tau / 2.0) / ((a2 - E) ** 2 + eta**2)
+            # one exact sum per first coordinate, then over those
+            total = math.fsum(math.fsum(row)
+                              for row in vals.reshape(2 * X + 1, -1))
+            rem = (8.0 * d * 3.0 ** (d - 1) * 2.0 ** (tau / 2.0)
+                   * L ** (4.0 - tau - d) * X ** (d + tau - 4.0)
+                   / (4.0 - d - tau))
+            assert _weighted_square_sum(E, tau, eta, d, L, X) == (
+                (total + rem) / L**d), (d, L, E, tau, eta)
 
 
 def test_resolvent_sum_truncated_fails_at_resonance(gauss_profile):

@@ -243,3 +243,32 @@ def test_mc_validate_draws_each_realization_once(tmp_path, std_model_dict,
     assert [c["draws"] for c in seen] == [32, 64]
     # the dispersion is read a fixed number of times, not per realization
     assert seen[0]["nu_reads"] == seen[1]["nu_reads"] < 32
+
+
+def test_only_expand_computes_truncation_tails(tmp_path, std_model_dict,
+                                               monkeypatch):
+    # in-process, so the tail computations can be counted: mc-validate reads
+    # only the coefficient values, expand writes one tail per row
+    from weakdis import cli, coefficients
+
+    calls = []
+    tail = coefficients.truncation_tail_bound
+
+    def counted_tail(*args, **kwargs):
+        calls.append(args[0])
+        return tail(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "truncation_tail_bound", counted_tail)
+    cfg = write_config(tmp_path / "mc.json", std_model_dict,
+                       {"kind": "mc-validate", "n_keep": 2, "eta": 0.3,
+                        "E": 1.0, "lambdas": [0.1, 0.05], "n_samples": 16,
+                        "seed": 9, "antithetic": True,
+                        "control_orders": [1, 2, 3]})
+    assert cli.main(["mc-validate", "--config", str(cfg), "--out",
+                     str(tmp_path / "mc"), "--threads", "1"]) == 0
+    assert calls == []
+    cfg = write_config(tmp_path / "ex.json", std_model_dict,
+                       {"kind": "expand", "n_max": 2, "z": [[1.0, 0.3]]})
+    assert cli.main(["expand", "--config", str(cfg), "--out",
+                     str(tmp_path / "ex"), "--threads", "1"]) == 0
+    assert calls == [0, 1, 2]

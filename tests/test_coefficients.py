@@ -205,7 +205,8 @@ def test_truncation_tail_dominates_K_increment(gauss_profile, rademacher,
     lat16 = build_lattice(1, 2.0, 16)
     v8 = coefficient_T(2, lat8, gauss_profile, rademacher, Z, psi1, psi2)
     v16 = coefficient_T(2, lat16, gauss_profile, rademacher, Z, psi1, psi2)
-    assert abs(v8.value - v16.value) <= v8.truncation_tail_bound
+    assert abs(v8.value - v16.value) <= truncation_tail_bound(
+        2, lat8, gauss_profile, rademacher, Z, psi1, psi2)
 
 
 def test_imag_sign_flip_conjugates(std_lattice, gauss_profile, rademacher,
@@ -218,3 +219,20 @@ def test_imag_sign_flip_conjugates(std_lattice, gauss_profile, rademacher,
     dn = coefficient_T(2, std_lattice, gauss_profile, rademacher,
                        Z.conjugate(), psi2, psi1).value
     assert dn == pytest.approx(up.conjugate(), rel=1e-13)
+
+
+def test_cached_tables_are_read_only(std_lattice, gauss_profile, psi_pair):
+    from weakdis.bounds import _big_window_data
+    from weakdis.coefficients import bhat_difference_table, psi_hat_vector
+    from weakdis.montecarlo import _difference_layout
+
+    tables = [bhat_difference_table(gauss_profile, std_lattice),
+              psi_hat_vector(psi_pair[0], std_lattice), std_lattice.ints,
+              *_difference_layout(std_lattice),
+              *_big_window_data(gauss_profile, 1, 2.0, 64, False)]
+    for tab in tables:
+        assert not tab.flags.writeable
+    # a second call hands back the cached object, not a rebuilt copy
+    assert bhat_difference_table(gauss_profile, std_lattice) is tables[0]
+    assert psi_hat_vector(psi_pair[0], std_lattice) is tables[1]
+    assert _difference_layout(std_lattice)[1] is tables[4]
