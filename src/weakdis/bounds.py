@@ -278,7 +278,7 @@ def _weighted_square_sum(E, tau, eta, d, L, X):
     a2 = msq / L**2
     vals = (1.0 + a2) ** (tau / 2.0) / ((a2 - E) ** 2 + eta**2)
     # one exact sum per first coordinate, then over those
-    total = fsum_r([fsum_r(row) for row in vals.reshape(side2.size, -1)])
+    total = fsum_r([math.fsum(r.tolist()) for r in vals.reshape(side2.size, -1)])
     if (X / L) ** 2 < 2.0 * E + 1.0:
         raise ConfigError("window too small for the remainder estimate")
     # shells ||m||_inf = s > X: a^2 >= (s/L)^2 >= 2E so (a^2-E)^2 >= a^4/4

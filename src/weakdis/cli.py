@@ -188,6 +188,8 @@ def cmd_expand(cfg, out_dir, threads, check):
         orders = [int(n) for n in study["orders"]]
     else:
         orders = list(range(int(study.get("n_max", 2)) + 1))
+    if not orders or min(orders) < 0:
+        raise ConfigError("expand needs at least one order, and no negative one")
     zs = [complex(float(p[0]), float(p[1]))
           for p in study.get("z", [[1.0, 0.3]])]
     budget = int(study.get("budget", coeff.DEFAULT_TERM_BUDGET))

@@ -82,17 +82,66 @@ def _diff_index(s, K, d):
     return idx
 
 
+@lru_cache(maxsize=None)
+def _pair_index(lattice: MomentumLattice):
+    """Difference-table index of ints[a] - ints[b], every pair; cached, read-only."""
+    ints = lattice.ints
+    idx = _diff_index(ints[:, None, :] - ints[None, :, :], lattice.K, lattice.d)
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _transfer_table(lattice: MomentumLattice, btab_bytes: bytes):
+    """T[a, b] = btab[ints[a] - ints[b]], btab given by its bytes; cached, read-only."""
+    T = np.frombuffer(btab_bytes)[_pair_index(lattice)]
+    T.setflags(write=False)
+    return T
+
+
 # ---------------------------------------------------------------------------
 # the resolved per-partition lattice sum
 
 
+def _nested_chain_sum(A, lattice, btab, zs):
+    """Per-u0 chain sum of a non-crossing partition (see ``_chain_sum``)."""
+    nu = 0.5 * np.sum((lattice.ints * (1.0 / lattice.L)) ** 2, axis=-1)
+    R = [1.0 / (nu - z) for z in zs]
+    T = _transfer_table(lattice, btab.tobytes())
+    block_of = {j: b for b in A.blocks for j in b}
+
+    def closed(lo, hi):
+        # product of the blocks tiling positions lo..hi-1
+        b = block_of.get(lo)
+        return block(b) * closed(b[-1] + 1, hi) if lo < hi else 1.0
+
+    def block(b):
+        # products by einsum, whose bits do not depend on the BLAS thread
+        # count; only the diagonal of the last one is formed
+        D = [R[p] * closed(p + 1, q) for p, q in zip(b, b[1:])]
+        M = T
+        for Di in D[:-1]:
+            M = np.einsum("ij,jk->ik", M * Di, T)
+        return (np.einsum("ij,ji->i", M * D[-1], T) if D else T.diagonal()) * R[b[-1]]
+
+    return R[0] * closed(1, A.n + 1)
+
+
 def _chain_sum(A, lattice, btab, zs, *, threads=1, budget=DEFAULT_TERM_BUDGET):
-    """Sum the resolved integrand of one partition over the truncated window.
+    """Sum the resolved integrand of one partition over the truncated window;
+    zs holds the spectral parameter of each chain slot (length A.n + 1).
 
-    zs is one entry per chain slot (length A.n + 1): the spectral parameter
-    of the resolvent factor there.
+    A non-crossing partition (every one up to n = 3) returns the momentum
+    to its entry value after each closed block, so a block p1 < ... < pr
+    entered at a is diag(T D_1 T ... D_{r-1} T)(a) R_{pr}(a): T[a, b] =
+    btab[k_a - k_b], R_j = 1/(nu - zs[j]), and D_i is R_{pi} times the
+    closed blocks between p_i and p_{i+1}; the chain is R_0 times its
+    top-level blocks, m N^3 + N multiply-adds.  A crossing partition sums
+    the box of N (4K+1)^{md} step tuples.  The cost of the route taken is
+    checked against the budget before it runs.
 
-    Returns (per-u0 array, term_count): one chain sum per outer momentum.
+    Returns (per-u0 array, term_count): one chain sum per outer momentum,
+    and N (4K+1)^{md}, the size of the partition's term set on either route.
     """
     d, K, L = lattice.d, lattice.K, lattice.L
     n = A.n
@@ -102,10 +151,13 @@ def _chain_sum(A, lattice, btab, zs, *, threads=1, budget=DEFAULT_TERM_BUDGET):
     side = 4 * K + 1
     Nv = side ** (m * d)
     N = lattice.size
-    if N * Nv > budget:
+    crossing = pt.is_crossing(A)
+    cost = N * Nv if crossing else m * N**3 + N
+    if cost > budget:
         raise BudgetError(
-            f"partition term needs {N * Nv:.3g} lattice terms, budget {budget:.3g}"
-        )
+            f"partition {A.blocks} needs {cost:.3g} multiply-adds, budget {budget:.3g}")
+    if not crossing:
+        return _nested_chain_sum(A, lattice, btab, zs), N * Nv
 
     # every point of the free-momentum box, substituted into the n steps
     free = int_box(m * d, 2 * K).reshape(Nv, m, d).transpose(1, 0, 2)
@@ -312,24 +364,39 @@ def _axis_pair_window_sum(env1, env2, L, K_in, X=100_000):
     return win, win + out + rem
 
 
-def _free_escape_sums(envB, b0, L, d, K, ms):
-    """{m: (SB_all, SB_thr)} for each free-index count m in ms.
+@lru_cache(maxsize=None)
+def _free_escape_sums(profile: ProfileSpec, lattice, m):
+    """(SB_all, SB_thr) for m free indices; cached.
 
     SB_all is the summed profile envelope over the difference window, SB_thr
     the same sum inside the escape threshold max(1, K // (2m)) (K at m = 0);
-    both are (1/L^d)-normalized.  Neither depends on the partition beyond m.
+    both are (1/L^d)-normalized.  Neither depends on z, nor on the
+    partition beyond m.
     """
-    if not ms:
-        return {}
+    d, K, L = lattice.d, lattice.K, lattice.L
+    envB = profile_axis_envelope(profile, L)
     ones = lambda k: np.ones_like(np.asarray(k, dtype=float))
     _, ball = _axis_pair_window_sum(envB, ones, L, 2 * K)
-    SB_all = b0 * ball**d / L**d
-    out = {}
-    for m in ms:
-        thr = max(1, K // (2 * m)) if m else K
-        bthr, _ = _axis_pair_window_sum(envB, ones, L, thr)
-        out[m] = (SB_all, b0 * bthr**d / L**d)
-    return out
+    thr = max(1, K // (2 * m)) if m else K
+    bthr, _ = _axis_pair_window_sum(envB, ones, L, thr)
+    b0 = abs(profile.b0)
+    return b0 * ball**d / L**d, b0 * bthr**d / L**d
+
+
+@lru_cache(maxsize=None)
+def _psi_escape_sums(lattice, psi1, psi2):
+    """(1/L^d) sums of the paired test-function envelopes over the dual
+    lattice and outside the half-window K // 2; cached."""
+    d, K, L = lattice.d, lattice.K, lattice.L
+    psi_all = psi_half = 1.0
+    for j in range(d):
+        e1 = wavepacket_axis_envelope(psi1, j, L)
+        e2 = wavepacket_axis_envelope(psi2, j, L)
+        _, w_all = _axis_pair_window_sum(e1, e2, L, K)
+        w_half, _ = _axis_pair_window_sum(e1, e2, L, K // 2)
+        psi_all *= w_all
+        psi_half *= w_half
+    return psi_all / L**d, max(0.0, (psi_all - psi_half)) / L**d
 
 
 def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
@@ -340,29 +407,12 @@ def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
     case is bounded by decay-envelope sums, with resolvents bounded by the
     distance to the spectrum and non-free step factors by ||B||_1.
     """
-    d, K, L = lattice.d, lattice.K, lattice.L
     dist_z = dist_to_spectrum(z)
-    envB = profile_axis_envelope(profile, L)
-
-    # per-axis envelope sums for the paired test functions
-    psi_all = 1.0
-    psi_half = 1.0
-    for j in range(d):
-        e1 = wavepacket_axis_envelope(psi1, j, L)
-        e2 = wavepacket_axis_envelope(psi2, j, L)
-        _, w_all = _axis_pair_window_sum(e1, e2, L, K)
-        w_half, _ = _axis_pair_window_sum(e1, e2, L, K // 2)
-        psi_all *= w_all
-        psi_half *= w_half
-    s_psi_all = psi_all / L**d
-    s_psi_escape = max(0.0, (psi_all - psi_half)) / L**d
-
-    rows = pt.live_partitions(n, dist)
-    esc = _free_escape_sums(envB, abs(profile.b0), L, d, K, {row.m for row in rows})
-    normB1 = profile.norm_l1(d)
+    s_psi_all, s_psi_escape = _psi_escape_sums(lattice, psi1, psi2)
+    normB1 = profile.norm_l1(lattice.d)
     total = 0.0
-    for _, w, m, blocks in rows:
-        SB_all, SB_thr = esc[m]
+    for _, w, m, blocks in pt.live_partitions(n, dist):
+        SB_all, SB_thr = _free_escape_sums(profile, lattice, m)
         e = (s_psi_escape * SB_all**m + s_psi_all * m
              * max(0.0, SB_all - SB_thr) * SB_all ** max(0, m - 1))
         total += abs(w) * normB1**blocks * e

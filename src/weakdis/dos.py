@@ -23,7 +23,7 @@ from .coefficients import (
     bhat_star_norms,
 )
 from .errors import BudgetError, ConfigError
-from .lattice import int_box, profile_axis_envelope, profile_periodized_value
+from .lattice import int_box, profile_periodized_value
 from .montecarlo import (
     EstimatorResult,
     _check_matrix,
@@ -34,7 +34,8 @@ from .montecarlo import (
     assemble_hamiltonian,
     map_realizations,
 )
-# unused here, but perfbench/tracer.py wraps this binding
+# unused here, but perfbench/tracer.py wraps these bindings
+from .lattice import profile_axis_envelope  # noqa: F401
 from .montecarlo import sample_config  # noqa: F401
 from .report import BoundReport
 
@@ -173,16 +174,13 @@ def _dos_tail(n, lattice, profile, dist, E, eta) -> float:
     r2_out = _outer_resolvent_tail(lattice, E, eta, smoothed=False)
     r2_half, r2_ring = _window_resolvent_sums(lattice, E, eta)
     s1, _ = bhat_star_norms(profile, L, K, d)
-    rows = pt.live_partitions(n, dist)
-    esc = _free_escape_sums(profile_axis_envelope(profile, L), abs(profile.b0),
-                            L, d, K, {row.m for row in rows if row.m})
     normB1 = profile.norm_l1(d)
 
     total = 0.0
-    for _, w, m, blocks in rows:
+    for _, w, m, blocks in pt.live_partitions(n, dist):
         outer = s1**m * r2_out
         if m:
-            SB_all, SB_thr = esc[m]
+            SB_all, SB_thr = _free_escape_sums(profile, lattice, m)
             free_esc = r2_half * m * max(0.0, SB_all - SB_thr) * SB_all ** (m - 1)
             ring = r2_ring * SB_all**m
         else:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from ._accum import chunk_ranges, fsum_c, fsum_r, run_ordered
-from .coefficients import bhat_difference_table, psi_hat_vector, _diff_index
+from .coefficients import bhat_difference_table, psi_hat_vector, _pair_index
 from .errors import BudgetError, ConfigError
 from .lattice import (
     MomentumLattice,
@@ -135,13 +135,10 @@ def potential_fourier(config: PoissonConfig, profile: ProfileSpec,
 @lru_cache(maxsize=None)
 def _difference_layout(lattice: MomentumLattice):
     """(phase points int_box(d, 2K) / L of the flattened difference window,
-    difference-table index of every lattice pair (p, q)); cached, read-only."""
+    the pair index shared with the chain sums); cached, read-only."""
     pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
-    ints = lattice.ints
-    didx = _diff_index(ints[:, None, :] - ints[None, :, :], lattice.K, lattice.d)
     pts.setflags(write=False)
-    didx.setflags(write=False)
-    return pts, didx
+    return pts, _pair_index(lattice)
 
 
 def potential_matrix(config: PoissonConfig, lattice: MomentumLattice,
@@ -420,14 +417,17 @@ def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
 # smoothed traces
 
 
+@lru_cache(maxsize=None)
 def _gl_nodes(a, b, panels, order=16):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
+    """Composite Gauss-Legendre nodes/weights on [a, b]; cached, read-only."""
     x0, w0 = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     w = (half[:, None] * w0[None, :]).ravel()
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

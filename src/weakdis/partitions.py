@@ -127,6 +127,15 @@ def apply_MA(A: SetPartition, v):
     return out
 
 
+def is_crossing(A: SetPartition) -> bool:
+    """True when two blocks interleave: one has an element between two
+    consecutive members of the other and one outside them."""
+    block_of = {j: b for b in A.blocks for j in b}
+    return any(block_of[j][0] < p or block_of[j][-1] > q
+               for b in A.blocks for p, q in zip(b, b[1:])
+               for j in range(p + 1, q))
+
+
 def sigma(A: SetPartition, j, l) -> int:
     """Indicator that the block of l reaches past position j (max a(l) > j)."""
     maps = partition_maps(A)

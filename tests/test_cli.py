@@ -272,3 +272,14 @@ def test_only_expand_computes_truncation_tails(tmp_path, std_model_dict,
     assert cli.main(["expand", "--config", str(cfg), "--out",
                      str(tmp_path / "ex"), "--threads", "1"]) == 0
     assert calls == [0, 1, 2]
+
+
+def test_expand_rejects_empty_or_negative_orders(tmp_path, std_model_dict,
+                                                 run_cli):
+    for i, study in enumerate([{"n_max": -1}, {"orders": []},
+                               {"orders": [-1]}]):
+        cfg = write_config(tmp_path / f"c{i}.json", std_model_dict,
+                           {"kind": "expand", **study})
+        proc = run_cli("expand", cfg, tmp_path / f"o{i}", "--check")
+        assert proc.returncode == 2, (study, proc.returncode, proc.stderr)
+        assert "order" in proc.stderr

@@ -236,3 +236,26 @@ def test_cached_tables_are_read_only(std_lattice, gauss_profile, psi_pair):
     assert bhat_difference_table(gauss_profile, std_lattice) is tables[0]
     assert psi_hat_vector(psi_pair[0], std_lattice) is tables[1]
     assert _difference_layout(std_lattice)[1] is tables[4]
+
+
+def test_truncation_tail_envelope_sums_are_built_once(psi_pair, gauss_profile,
+                                                      rademacher, monkeypatch):
+    import weakdis.coefficients as co
+
+    lat = build_lattice(1, 2.0, 5)
+    built = []
+    for name in ("profile_axis_envelope", "wavepacket_axis_envelope"):
+        make = getattr(co, name)
+        monkeypatch.setattr(co, name, lambda *a, make=make: built.append(a)
+                            or make(*a))
+
+    def sweep(z):
+        return [truncation_tail_bound(n, lat, gauss_profile, rademacher, z,
+                                      *psi_pair) for n in range(5)]
+
+    first = sweep(Z)
+    assert built
+    once = len(built)
+    # the envelope sums depend on neither z nor n: later sweeps build none
+    assert [sweep(z) for z in (Z, 2.0 + 0.5j)][0] == first
+    assert len(built) == once
