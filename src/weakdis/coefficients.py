@@ -321,8 +321,9 @@ def coefficient_T_oracle(n, lattice, profile, dist, z, psi1, psi2,
 # norms and truncation tails
 
 
+@lru_cache(maxsize=None)
 def bhat_star_norms(profile: ProfileSpec, L, K=None, d=1):
-    """(||B_hat||_{*,1} including an envelope tail, ||B_hat||_{*,inf}).
+    """(||B_hat||_{*,1} including an envelope tail, ||B_hat||_{*,inf}); cached.
 
     The truncated sums run over the difference window; the omitted mass is
     bounded by the per-axis decay envelope.

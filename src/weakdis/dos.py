@@ -27,7 +27,7 @@ from .lattice import int_box, profile_periodized_value
 from .montecarlo import (
     EstimatorResult,
     _check_matrix,
-    _hamiltonian,
+    _hamiltonians,
     _se_complex,
     _stone_from_eigs,
     _trace_from_eigs,
@@ -262,17 +262,18 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
         raise ConfigError("smoothed traces are restricted to d <= 3")
     if eta <= 0:
         raise ConfigError("eta must be positive")
+    if n_samples < 2:
+        raise ConfigError("need at least two samples")
     _check_matrix(lattice, lam)
     a, b = chi.support
     nu_c = lattice.nu_values.astype(complex)
     volume = lattice.volume
 
-    def traces(V):
-        mu = np.linalg.eigvalsh(_hamiltonian(nu_c, lam, V))
-        val = _trace_from_eigs(mu, chi, eta, volume, a, b, rtol)
-        if not check_routes:
-            return val, None
-        return val, _stone_from_eigs(mu, chi, eta, volume, a, b)
+    def traces(Vs):
+        mus = np.linalg.eigvalsh(_hamiltonians(nu_c, (lam,), Vs)[:, 0])
+        return [(_trace_from_eigs(mu, chi, eta, volume, a, b, rtol),
+                 _stone_from_eigs(mu, chi, eta, volume, a, b)
+                 if check_routes else None) for mu in mus]
 
     pairs = map_realizations(n_samples, seed, lattice, profile, dist, traces,
                              threads)
@@ -282,11 +283,8 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
                              n_samples=n_samples, seed=seed)
     if not check_routes:
         return result
-    route_diff = 0.0
-    for val, stone in pairs:
-        # np.maximum keeps a NaN difference instead of dropping it
-        route_diff = float(np.maximum(route_diff, abs(val - stone)))
-    return result, route_diff
+    # np.max keeps a NaN difference instead of dropping it
+    return result, float(np.max(np.abs([val - st for val, st in pairs])))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ._accum import chunk_ranges, fsum_c, fsum_r, run_ordered
 from .coefficients import bhat_difference_table, psi_hat_vector, _pair_index
@@ -32,6 +31,8 @@ from .partitions import WeightDistribution
 from .report import BoundReport
 
 MAX_MATRIX_DIM = 8192
+# bytes of one chunk's stacked (realizations, systems, N, N) complex array
+CHUNK_BYTES = 2 << 20
 _POISSON_INVERSION_CUTOFF = 30.0
 
 
@@ -164,12 +165,18 @@ def _check_matrix(lattice: MomentumLattice, lam: float = 0.0):
             f"matrix dimension {lattice.size} over budget {MAX_MATRIX_DIM}")
 
 
-def _hamiltonian(nu_c: np.ndarray, lam: float, V) -> np.ndarray:
-    """diag(nu) + lam * V from an already-built potential matrix; V is None
-    for a realization without scatterers, and lam == 0 adds nothing."""
-    H = np.diag(nu_c)
-    if V is not None and lam != 0.0:
-        H = H + lam * V
+def _hamiltonians(nu_c: np.ndarray, coefs, Vs) -> np.ndarray:
+    """diag(nu) + c * V for every potential matrix V of a chunk and every
+    coupling c, as one (len(Vs), len(coefs), N, N) array.  V is None for a
+    realization without scatterers; it and c == 0 leave diag(nu)."""
+    D = np.diag(nu_c)
+    H = np.tile(D, (len(Vs), len(coefs), 1, 1))
+    live = [i for i, V in enumerate(Vs) if V is not None]
+    if live:
+        W = np.stack([Vs[i] for i in live])
+        for k, c in enumerate(coefs):
+            if c != 0.0:
+                H[live, k] = D + c * W
     return H
 
 
@@ -182,7 +189,8 @@ def assemble_hamiltonian(config: PoissonConfig, lam: float,
          if lam != 0.0 and config.M else None)
     return HamiltonianMatrix(
         dim=lattice.size, lattice=lattice,
-        entries=_hamiltonian(lattice.nu_values.astype(complex), lam, V))
+        entries=_hamiltonians(lattice.nu_values.astype(complex), (lam,),
+                              [V])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +204,6 @@ def _as_hat(psi, lattice):
     if vec.shape != (lattice.size,):
         raise ConfigError("test-function vector has wrong length")
     return vec
-
-
-def resolvent_matrix_element(H: HamiltonianMatrix, z, psi1, psi2) -> complex:
-    """<psi1, (H - z)^(-1) psi2> via one dense solve and the discrete
-    Parseval pairing."""
-    dist_to_spectrum(z)
-    lattice = H.lattice
-    p1 = _as_hat(psi1, lattice)
-    p2 = _as_hat(psi2, lattice)
-    A = H.entries - z * np.eye(H.dim)
-    lu = lu_factor(A)
-    x = lu_solve(lu, p2)
-    resid = np.linalg.norm(A @ x - p2)
-    if resid > 1e-10 * max(np.linalg.norm(p2), 1e-300):
-        raise RuntimeError(
-            f"resolvent solve residual {resid:.3e}; "
-            f"condition estimate {np.linalg.cond(A):.3e}"
-        )
-    return fsum_c(np.conj(p1) * x) / lattice.volume
 
 
 def _chain_terms(V, r0, p1, p2, top, volume) -> list:
@@ -244,7 +233,7 @@ def neumann_identity_check(config, lam, z, n, lattice, profile, psi2,
     nu = lattice.nu_values
     Vmat = potential_matrix(config, lattice, profile) if config.M else np.zeros(
         (lattice.size, lattice.size), dtype=complex)
-    H = _hamiltonian(nu.astype(complex), lam, Vmat)
+    H = _hamiltonians(nu.astype(complex), (lam,), [Vmat])[0, 0]
     p2 = _as_hat(psi2, lattice)
     r0 = 1.0 / (nu - z)
 
@@ -293,24 +282,27 @@ def _se_complex(units, mean):
     return math.sqrt(var / n)
 
 
-def map_realizations(n_units, seed, lattice, profile, dist, fn, threads=1):
-    """[fn(V_i) for i in range(n_units)], the Monte-Carlo realization
-    pipeline.  Realization i is drawn from the stream (seed, i) and V_i is
-    its coupling-free potential matrix (None without scatterers), built once
-    however many couplings and signs fn evaluates on it.  Results are in
-    index order; chunks run on threads with disjoint writes."""
+def map_realizations(n_units, seed, lattice, profile, dist, fn, threads=1,
+                     systems=1):
+    """The Monte-Carlo realization pipeline, one result per realization in
+    index order.  Realization i is drawn from the stream (seed, i); fn maps
+    a chunk's list of potential matrices V_i (None without scatterers) to
+    one result each.  A chunk's (chunk, systems, N, N) stack stays near
+    CHUNK_BYTES whatever the thread count; threads run whole chunks."""
     _check_matrix(lattice)
-    out = [None] * n_units
-    ranges = chunk_ranges(n_units, max(1, -(-n_units // max(1, threads * 4))))
+    size = max(1, CHUNK_BYTES // (16 * systems * lattice.size**2))
 
     def work(lo, hi):
+        Vs = []
         for i in range(lo, hi):
             cfg = sample_config(lattice, dist, rng_for(seed, i))
-            out[i] = fn(potential_matrix(cfg, lattice, profile)
-                        if cfg.M else None)
+            Vs.append(potential_matrix(cfg, lattice, profile)
+                      if cfg.M else None)
+        return fn(Vs)
 
-    run_ordered([lambda lo=lo, hi=hi: work(lo, hi) for lo, hi in ranges], threads)
-    return out
+    parts = run_ordered([lambda lo=lo, hi=hi: work(lo, hi)
+                         for lo, hi in chunk_ranges(n_units, size)], threads)
+    return [r for part in parts for r in part]
 
 
 def _result(units, n_samples, seed) -> EstimatorResult:
@@ -339,12 +331,11 @@ def estimate_partial_term(n, n_samples, z, psi1, psi2, seed, lattice, profile,
         return EstimatorResult(mean=val, std_error=0.0, n_samples=n_samples,
                                seed=seed)
 
-    def one(V):
-        if V is None:
-            return 0.0 + 0.0j
-        return _chain_terms(V, r0, p1, p2, n, volume)[n]
+    def chunk(Vs):
+        return [0.0 + 0.0j if V is None
+                else _chain_terms(V, r0, p1, p2, n, volume)[n] for V in Vs]
 
-    units = map_realizations(n_samples, seed, lattice, profile, dist, one,
+    units = map_realizations(n_samples, seed, lattice, profile, dist, chunk,
                              threads)
     return _result(units, n_samples, seed)
 
@@ -379,6 +370,8 @@ def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
     if antithetic and n_samples % 2:
         raise ConfigError("antithetic pairing needs an even sample count")
     lams = tuple(lams)
+    for lam in lams:
+        _check_matrix(lattice, lam)
     orders = sorted(controls)
     p1 = _as_hat(psi1, lattice)
     p2 = _as_hat(psi2, lattice)
@@ -387,28 +380,37 @@ def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
     r0 = 1.0 / (nu - z)
     z_eye = z * np.eye(lattice.size)
     volume = lattice.volume
+    signs = (1, -1) if antithetic else (1,)
+    members = [(lam, sign) for lam in lams for sign in signs]
+    coefs = [sign * lam for lam, sign in members]
 
-    def member(V, t, lam, sign):
+    def member(x, V, t, lam, sign):
         """One realization's controlled value; sign flips the weights."""
-        x = lu_solve(lu_factor(_hamiltonian(nu_c, sign * lam, V) - z_eye), p2)
         val = fsum_c(np.conj(p1) * x) / volume
         for j in orders:
             tj = 0.0 if V is None else sign**j * t[j]
             val -= (-lam) ** j * (tj - controls[j])
         return val
 
-    def one(V):
-        t = None
-        if V is not None and orders:
-            t = _chain_terms(V, r0, p1, p2, orders[-1], volume)
-        if antithetic:
-            return [0.5 * (member(V, t, lam, 1) + member(V, t, lam, -1))
-                    for lam in lams]
-        return [member(V, t, lam, 1) for lam in lams]
+    def chunk(Vs):
+        """Every coupling and sign of a chunk in one stacked solve."""
+        A = _hamiltonians(nu_c, coefs, Vs)
+        A -= z_eye
+        if not (np.isfinite(A).all() and np.isfinite(p2).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        X = np.linalg.solve(A, p2[:, None])[..., 0]
+        units = []
+        for V, xs in zip(Vs, X):
+            t = (_chain_terms(V, r0, p1, p2, orders[-1], volume)
+                 if V is not None and orders else None)
+            vals = [member(x, V, t, *m) for x, m in zip(xs, members)]
+            units.append([0.5 * (a + b) for a, b in zip(vals[::2], vals[1::2])]
+                         if antithetic else vals)
+        return units
 
     n_units = n_samples // 2 if antithetic else n_samples
-    units = map_realizations(n_units, seed, lattice, profile, dist, one,
-                             threads)
+    units = map_realizations(n_units, seed, lattice, profile, dist, chunk,
+                             threads, len(coefs))
     return [_result([u[k] for u in units], n_samples, seed)
             for k in range(len(lams))]
 

@@ -283,3 +283,27 @@ def test_expand_rejects_empty_or_negative_orders(tmp_path, std_model_dict,
         proc = run_cli("expand", cfg, tmp_path / f"o{i}", "--check")
         assert proc.returncode == 2, (study, proc.returncode, proc.stderr)
         assert "order" in proc.stderr
+
+
+def test_mc_validate_rejects_a_negative_coupling(tmp_path, std_model_dict,
+                                                 run_cli):
+    study = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
+             "lambdas": [0.1, -0.05, 0.025], "n_samples": 32, "seed": 9,
+             "antithetic": True, "control_orders": [1, 2]}
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    proc = run_cli("mc-validate", cfg, tmp_path / "o", "--check")
+    assert proc.returncode == 2, (proc.returncode, proc.stderr)
+    assert "coupling" in proc.stderr
+
+
+def test_dos_rejects_fewer_than_two_samples(tmp_path, std_model_dict,
+                                            run_cli):
+    for n_samples in (0, 1):
+        study = {"kind": "dos", "lam": 0.05, "eps": 0.5, "eta": 0.1,
+                 "order": 0, "chi": {"center": 1.0, "width": 0.5},
+                 "n_samples": n_samples, "seed": 5}
+        cfg = write_config(tmp_path / f"c{n_samples}.json", std_model_dict,
+                           study)
+        proc = run_cli("dos", cfg, tmp_path / f"o{n_samples}", "--check")
+        assert proc.returncode == 2, (n_samples, proc.returncode, proc.stderr)
+        assert "samples" in proc.stderr

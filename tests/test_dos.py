@@ -144,6 +144,32 @@ def test_mc_seed_determinism(std_lattice, gauss_profile, rademacher):
     assert da == db
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_stacked_eigvalsh_equals_per_matrix(threads, std_lattice,
+                                               gauss_profile, rademacher,
+                                               monkeypatch):
+    # chunks of 3 realizations against one eigvalsh per assembled matrix
+    from weakdis import montecarlo
+    from weakdis._accum import fsum_r
+
+    monkeypatch.setattr(montecarlo, "CHUNK_BYTES",
+                        16 * std_lattice.size**2 * 3)
+    chi = ChiBump(center=1.0, width=0.5)
+    est = dos_mc(chi, 0.05, 0.1, 10, 5, std_lattice, gauss_profile,
+                 rademacher, threads=threads)
+    a, b = chi.support
+    units = []
+    for i in range(10):
+        cfg = sample_config(std_lattice, rademacher, rng_for(5, i))
+        H = montecarlo.assemble_hamiltonian(cfg, 0.05, std_lattice,
+                                            gauss_profile)
+        mu = np.linalg.eigvalsh(H.entries)
+        units.append(montecarlo._trace_from_eigs(mu, chi, 0.1,
+                                                 std_lattice.volume, a, b))
+    assert est.mean == fsum_r(units) / 10
+    assert est.std_error == montecarlo._se_complex(units, est.mean)
+
+
 def test_mc_runs_on_the_requested_threads(std_lattice, gauss_profile,
                                           rademacher, monkeypatch):
     from weakdis import montecarlo

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +11,11 @@ import pytest
 from weakdis import (
     BudgetError,
     ConfigError,
+    HamiltonianMatrix,
     PoissonConfig,
+    ProfileSpec,
     Wavepacket,
+    WeightDistribution,
     assemble_hamiltonian,
     build_lattice,
     coefficient_T,
@@ -16,12 +24,14 @@ from weakdis import (
     neumann_identity_check,
     potential_matrix,
     profile_periodized_value,
-    resolvent_matrix_element,
     rng_for,
     sample_config,
     wavepacket_fourier_periodized,
 )
+from weakdis import montecarlo
 from weakdis.montecarlo import _draw_poisson, potential_fourier
+
+from reference import resolvent_matrix_element
 
 Z = 1.0 + 0.3j
 
@@ -243,6 +253,107 @@ def test_control_variates_change_spread_not_mean_structure(
     # both estimate the same quantity
     diff = abs(ctrl.mean - plain.mean)
     assert diff < 4 * plain.std_error
+
+
+def _stacked_unit_mismatches(threads, antithetic, controlled):
+    """Compare every unit of the chunked estimator, realization by
+    realization, with the loop of one LU solve per realization, coupling
+    and sign; returns (mismatched (realization, coupling) pairs, number of
+    realizations without scatterers)."""
+    lattice = build_lattice(1, 2.0, 8)
+    profile = ProfileSpec(kind="gaussian", b0=1.0, sigma=1.0)
+    dist = WeightDistribution(kind="rademacher")
+    psi1 = Wavepacket(x0=(0.0,), a=(0.0,), sigma=1.0)
+    psi2 = Wavepacket(x0=(0.25,), a=(1.0,), sigma=1.0)
+    lams = [0.1, 0.05]
+    controls = ({j: coefficient_T(j, lattice, profile, dist, Z, psi1,
+                                  psi2).value for j in (1, 2)}
+                if controlled else {})
+    signs = (1, -1) if antithetic else (1,)
+    n_units = 17
+    got = []
+    run, chunk_bytes = montecarlo._result, montecarlo.CHUNK_BYTES
+
+    def spy(units, n_samples, seed):
+        got.append(list(units))
+        return run(units, n_samples, seed)
+
+    # chunks of 7 realizations: 17 units make 3 chunks, the last one short
+    montecarlo.CHUNK_BYTES = 16 * len(lams) * len(signs) * lattice.size**2 * 7
+    montecarlo._result = spy
+    try:
+        estimate_expectation(n_units * len(signs), lams, Z, psi1, psi2, 7,
+                             lattice, profile, dist, threads=threads,
+                             antithetic=antithetic, control_values=controls)
+    finally:
+        montecarlo._result, montecarlo.CHUNK_BYTES = run, chunk_bytes
+
+    nu_c = lattice.nu_values.astype(complex)
+    r0 = 1.0 / (lattice.nu_values - Z)
+    p1 = montecarlo._as_hat(psi1, lattice)
+    p2 = montecarlo._as_hat(psi2, lattice)
+    bad, empty = [], 0
+    for i in range(n_units):
+        cfg = sample_config(lattice, dist, rng_for(7, i))
+        V = potential_matrix(cfg, lattice, profile) if cfg.M else None
+        empty += V is None
+        t = (None if V is None else
+             montecarlo._chain_terms(V, r0, p1, p2, 2, lattice.volume))
+        for k, lam in enumerate(lams):
+            vals = []
+            for sign in signs:
+                H = np.diag(nu_c)
+                if V is not None:
+                    H = H + (sign * lam) * V
+                val = resolvent_matrix_element(
+                    HamiltonianMatrix(lattice.size, H, lattice), Z, psi1,
+                    psi2)
+                for j, T in controls.items():
+                    tj = 0.0 if V is None else sign**j * t[j]
+                    val -= (-lam) ** j * (tj - T)
+                vals.append(val)
+            want = 0.5 * (vals[0] + vals[1]) if antithetic else vals[0]
+            if got[k][i] != want:
+                bad.append((i, lam))
+    return bad, empty
+
+
+def test_stacked_solves_equal_per_matrix_lu():
+    # The per-matrix LU's bits depend on the BLAS thread count, so the
+    # comparison runs in a child pinned to one BLAS thread, as the golden
+    # ledger is.  Cases: engine threads 1 and 2, antithetic and controls
+    # on and off.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = ("import itertools, json, test_montecarlo as t\n"
+            "cases = itertools.product((1, 2), (False, True), (False, True))\n"
+            "print(json.dumps([[c, t._stacked_unit_mismatches(*c)]"
+            " for c in cases]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == 8
+    for case, (bad, empty) in results:
+        assert bad == [], case
+        assert 0 < empty < 17, case
+
+
+def test_estimate_expectation_rejects_negative_coupling_before_drawing(
+        std_lattice, gauss_profile, rademacher, psi_pair, monkeypatch):
+    psi1, psi2 = psi_pair
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before checking the couplings")
+
+    monkeypatch.setattr(montecarlo, "sample_config", no_draw)
+    with pytest.raises(ConfigError):
+        estimate_expectation(32, [0.1, -0.05], Z, psi1, psi2, 7, std_lattice,
+                             gauss_profile, rademacher)
 
 
 def test_antithetic_requires_even_samples(std_lattice, gauss_profile,
