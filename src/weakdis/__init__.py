@@ -13,7 +13,6 @@ from .bounds import (
     check_arctan_bound,
     check_log_integral_bound,
     check_resolvent_sum_bound,
-    check_sup_weight_grid,
     check_weighted_resolvent_sum,
     const_C,
     const_C1,
@@ -27,7 +26,6 @@ from .coefficients import (
     coefficient_T,
     coefficient_T_oracle,
     conj_symmetry_check,
-    partition_term_C,
     truncation_tail_bound,
 )
 from .dos import (
@@ -39,7 +37,7 @@ from .dos import (
     dos_mc,
     trace_class_bound_check,
 )
-from .errors import BudgetError, CheckFailure, ConfigError, ToleranceError
+from .errors import BudgetError, CheckFailure, ConfigError
 from .lattice import (
     MomentumLattice,
     ProfileSpec,
@@ -75,7 +73,6 @@ from .partitions import (
     partition_maps,
     permutation_count_check,
     poisson_factorial_moment,
-    sigma,
 )
 from .report import BoundReport
 
@@ -92,7 +89,6 @@ __all__ = [
     "PoissonConfig",
     "ProfileSpec",
     "SetPartition",
-    "ToleranceError",
     "Wavepacket",
     "WeightDistribution",
     "apply_MA",
@@ -104,7 +100,6 @@ __all__ = [
     "check_arctan_bound",
     "check_log_integral_bound",
     "check_resolvent_sum_bound",
-    "check_sup_weight_grid",
     "check_weighted_resolvent_sum",
     "chi_tilde",
     "coefficient_T",
@@ -128,7 +123,6 @@ __all__ = [
     "neumann_identity_check",
     "nu",
     "partition_maps",
-    "partition_term_C",
     "permutation_count_check",
     "poisson_factorial_moment",
     "potential_matrix",
@@ -137,7 +131,6 @@ __all__ = [
     "rng_for",
     "sample_config",
     "scaling_exponent",
-    "sigma",
     "trace_class_bound_check",
     "truncation_tail_bound",
     "wavepacket_fourier_periodized",

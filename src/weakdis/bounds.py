@@ -13,7 +13,6 @@ from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 from scipy.integrate import quad
 
 from . import partitions as pt
@@ -386,115 +385,3 @@ def scaling_exponent(n: int, eps: float) -> float:
     """Predicted log-log slope of the residual bound under eta = lam^(2-eps),
     after dividing out the logarithmic factor."""
     return n - (2.0 - eps) * (n / 2.0 + 1.5)
-
-
-# ---------------------------------------------------------------------------
-# two-resolvent sup-weight scaling check
-
-
-def _sup_weight_value(q, v1, v2, E, eta, eps, sigma):
-    d = len(q)
-    g = 0.0
-    for j in range(d):
-        g += (-1.0 + eps) * 0.5 * (
-            math.log1p(v1[j] ** 2) + math.log1p(v2[j] ** 2))
-    k1 = [q[j] + v1[j] for j in range(d)]
-    k2 = [q[j] + sigma * v1[j] + v2[j] for j in range(d)]
-    nu1 = 0.5 * sum(x * x for x in k1)
-    nu2 = 0.5 * sum(x * x for x in k2)
-    g -= 0.5 * math.log((nu1 - E) ** 2 + eta**2)
-    g -= 0.5 * math.log((nu2 - E) ** 2 + eta**2)
-    return g
-
-
-def _maximize_sup_weight(q, E, eta, eps, sigma, seed=0):
-    d = len(q)
-    r = math.sqrt(2.0 * E)
-    starts = []
-    for s1 in (0.0, r, -r):
-        v1 = [-q[j] + (s1 if j == 0 else 0.0) for j in range(d)]
-        for s2 in (0.0, r, -r):
-            base = [q[j] + sigma * v1[j] for j in range(d)]
-            v2 = [-base[j] + (s2 if j == 0 else 0.0) for j in range(d)]
-            starts.append(np.array(v1 + v2))
-    starts.append(np.zeros(2 * d))
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    for _ in range(8):
-        starts.append(rng.normal(scale=1.0 + max(abs(x) for x in q),
-                                 size=2 * d))
-
-    def neg(xs):
-        return -_sup_weight_value(q, xs[:d], xs[d:], E, eta, eps, sigma)
-
-    best = -math.inf
-    for x0 in starts:
-        res = optimize.minimize(neg, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-8, "fatol": 1e-12,
-                                         "maxiter": 2000})
-        best = max(best, -res.fun)
-    return math.exp(best)
-
-
-def check_sup_weight_grid(E: float, eps: float, eta: float, q_grid, *,
-                          sigma: int = 1, seed: int = 0,
-                          ratio_limit: float = 50.0) -> BoundReport:
-    """Heuristic scaling check of the weighted two-resolvent sup estimate.
-
-    For each grid q, the weighted product is maximized over both internal
-    momenta by multi-start local search; the normalized value
-    sup * prod <q_j>^{1-eps} / (1 + eta^{-2}) must stay within a bounded
-    ratio across the grid.  No constant is claimed.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ConfigError("eps must lie in (0, 1)")
-    if sigma not in (0, 1):
-        raise ConfigError("sigma selects one of the two coupling branches")
-    values = {}
-    for q in q_grid:
-        q = tuple(float(x) for x in np.atleast_1d(q))
-        sup = _maximize_sup_weight(q, E, eta, eps, sigma, seed)
-        weight = 1.0
-        for qj in q:
-            weight *= (1.0 + qj**2) ** ((1.0 - eps) / 2.0)
-        values[q] = sup * weight / (1.0 + eta**-2)
-    vmax = max(values.values())
-    vmin = min(values.values())
-    return BoundReport(
-        name="sup_weight_grid",
-        lhs=vmax / vmin,
-        rhs=ratio_limit,
-        context={"E": E, "eps": eps, "eta": eta, "sigma": sigma,
-                 "normalized": {str(k): v for k, v in values.items()}},
-        notes="heuristic multi-start search; verifies scaling shape only",
-    )
-
-
-def sup_weight_decoupled(q, E, eta, eps, seed=0) -> float:
-    """sigma = 0 structure: the joint sup as a product of two one-momentum
-    sups (used to cross-check the search)."""
-    q = tuple(float(x) for x in np.atleast_1d(q))
-    d = len(q)
-
-    def neg(v):
-        g = 0.0
-        for j in range(d):
-            g += (-1.0 + eps) * 0.5 * math.log1p(v[j] ** 2)
-        nu1 = 0.5 * sum((q[j] + v[j]) ** 2 for j in range(d))
-        g -= 0.5 * math.log((nu1 - E) ** 2 + eta**2)
-        return -g
-
-    r = math.sqrt(2.0 * E)
-    best = -math.inf
-    starts = [np.array([-q[j] + (s if j == 0 else 0.0) for j in range(d)])
-              for s in (0.0, r, -r)]
-    starts.append(np.zeros(d))
-    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
-    for _ in range(6):
-        starts.append(rng.normal(scale=1.0 + max(abs(x) for x in q), size=d))
-    for x0 in starts:
-        res = optimize.minimize(neg, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-8, "fatol": 1e-12,
-                                         "maxiter": 2000})
-        best = max(best, -res.fun)
-    one = math.exp(best)
-    return one * one

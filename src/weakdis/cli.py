@@ -48,7 +48,7 @@ _STUDY_KEYS = {
     "dos": {"kind", "lam", "eps", "eta", "order", "chi", "n_samples", "seed",
             "check_routes"},
     "bounds": {"kind", "E_grid", "eta_grid", "L_grid", "d_grid", "seed",
-               "include_sup_weight", "truncated_transform"},
+               "truncated_transform"},
     "scaling": {"kind", "n", "eps", "lambdas", "E"},
     "partitions": {"kind", "n_max", "M_max", "bell_max"},
 }
@@ -432,11 +432,6 @@ def _bound_rows(cfg):
 
     reports.append(bnd.check_weighted_resolvent_sum(1.0, 0.0, 1e-3, lattice))
     reports.append(dosmod.dos_eta_grid_check(1.0, lattice))
-
-    if bool(study.get("include_sup_weight", False)):
-        qs = [(0.0,), (1.0,), (2.0,), (4.0,)]
-        reports.append(bnd.check_sup_weight_grid(
-            1.0 / 32.0, 0.5, 0.5, qs, sigma=1))
     return reports
 
 
@@ -520,7 +515,7 @@ def cmd_partitions(cfg, out_dir, threads, check):
             rows.append(["counting_identity", str(n), str(M), str(count_ok)])
             ok_all = ok_all and unity_ok and count_ok
     for n in range(1, bell_max + 1):
-        enum = sum(1 for _ in pt.enumerate_partitions(n))
+        enum = sum(1 for _ in pt.growth_strings(n))
         match = enum == pt.bell_number(n)
         rows.append(["bell_count", str(n), "", str(match)])
         ok_all = ok_all and match

@@ -136,9 +136,11 @@ def _chain_sum(A, lattice, btab, zs, *, threads=1, budget=DEFAULT_TERM_BUDGET):
     entered at a is diag(T D_1 T ... D_{r-1} T)(a) R_{pr}(a): T[a, b] =
     btab[k_a - k_b], R_j = 1/(nu - zs[j]), and D_i is R_{pi} times the
     closed blocks between p_i and p_{i+1}; the chain is R_0 times its
-    top-level blocks, m N^3 + N multiply-adds.  A crossing partition sums
-    the box of N (4K+1)^{md} step tuples.  The cost of the route taken is
-    checked against the budget before it runs.
+    top-level blocks.  That costs (r - 2) N^3 + N^2 multiply-adds per block
+    of r >= 2 members (r - 2 products and one diagonal), N per singleton and
+    N for the chain.  A crossing partition sums the box of N (4K+1)^{md}
+    step tuples.  The cost of the route taken is checked against the budget
+    before it runs.
 
     Returns (per-u0 array, term_count): one chain sum per outer momentum,
     and N (4K+1)^{md}, the size of the partition's term set on either route.
@@ -152,7 +154,8 @@ def _chain_sum(A, lattice, btab, zs, *, threads=1, budget=DEFAULT_TERM_BUDGET):
     Nv = side ** (m * d)
     N = lattice.size
     crossing = pt.is_crossing(A)
-    cost = N * Nv if crossing else m * N**3 + N
+    cost = N * Nv if crossing else N + sum(
+        (len(b) - 2) * N**3 + N**2 if len(b) > 1 else N for b in A.blocks)
     if cost > budget:
         raise BudgetError(
             f"partition {A.blocks} needs {cost:.3g} multiply-adds, budget {budget:.3g}")
@@ -219,25 +222,6 @@ def _live_terms(rows, lattice, btab, zs, psi_w, *, threads, budget):
 
 def _psi_weights(psi1, psi2, lattice):
     return np.conj(psi_hat_vector(psi1, lattice)) * psi_hat_vector(psi2, lattice)
-
-
-def partition_term_C(n, A: pt.SetPartition, lattice, profile, dist, z,
-                     psi1, psi2, *, threads=1, budget=DEFAULT_TERM_BUDGET) -> complex:
-    """One partition's contribution to the order-n coefficient.
-
-    Zero-weight partitions short-circuit before any lattice work.
-    """
-    if A.n != n:
-        raise ConfigError("partition ground set must match the order")
-    dist_to_spectrum(z)
-    row = pt.live_partition(A, dist)
-    if row is None:
-        return 0.0 + 0.0j
-    [(value, _)] = _live_terms([row], lattice,
-                               bhat_difference_table(profile, lattice),
-                               (z,) * (n + 1), _psi_weights(psi1, psi2, lattice),
-                               threads=threads, budget=budget)
-    return value
 
 
 def coefficient_T(n, lattice, profile, dist, z, psi1, psi2, *,

@@ -9,13 +9,5 @@ class BudgetError(RuntimeError):
     """A requested computation exceeds the configured size/term budget."""
 
 
-class ToleranceError(RuntimeError):
-    """A tolerance target could not be met within the refinement budget."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class CheckFailure(AssertionError):
     """A --check mode acceptance assertion failed (CLI exit code 4)."""

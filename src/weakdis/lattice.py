@@ -24,7 +24,7 @@ from scipy.special import wofz
 
 # unused here, but perfbench/tracer.py wraps these bindings
 from ._accum import fsum_c, fsum_r  # noqa: F401
-from .errors import BudgetError, ConfigError, ToleranceError
+from .errors import BudgetError, ConfigError
 
 DEFAULT_MAX_POINTS = 500_000
 
@@ -74,17 +74,6 @@ class MomentumLattice:
     @property
     def nu_values(self) -> np.ndarray:
         return nu(self.points)
-
-    def flat_index(self, ints) -> np.ndarray:
-        """Map integer coordinates (…, d) to enumeration indices."""
-        m = np.asarray(ints)
-        if np.any(np.abs(m) > self.K):
-            raise ConfigError("integer coordinates outside the lattice window")
-        side = 2 * self.K + 1
-        idx = np.zeros(m.shape[:-1], dtype=np.int64)
-        for j in range(self.d):
-            idx = idx * side + (m[..., j] + self.K)
-        return idx
 
 
 def int_box(d, X) -> np.ndarray:
@@ -257,18 +246,6 @@ class Wavepacket:
             -np.pi * self.sigma * quad + 2j * np.pi * phase
         )
 
-    def box_norm_sq(self, L) -> float:
-        """Integral of |psi|^2 over the box (erf closed form per axis)."""
-        from scipy.special import erf
-
-        s = 2.0 * self.sigma  # |psi|^2 has Gaussian rate 2 sigma
-        total = self.normalization**2
-        for x0j in self.x0:
-            c = math.sqrt(math.pi * s)
-            # int exp(-pi s u^2) du over [x0-L/2, x0+L/2] shifted to the box
-            total *= (erf(c * (L / 2 - x0j)) + erf(c * (L / 2 + x0j))) / (2 * math.sqrt(s))
-        return total
-
 
 # ---------------------------------------------------------------------------
 # periodized Fourier transforms (box-truncated integrals, closed forms)
@@ -364,34 +341,6 @@ def wavepacket_fourier_periodized(psi: Wavepacket, p, L):
         q = pts[:, j] - psi.a[j]
         vals = vals * _gauss_box_ft_axis(psi.sigma, L, q, x0=psi.x0[j])
     return vals[0] if scalar else vals
-
-
-def fourier_quad_axis(func, L, q, tol=1e-12, max_doublings=14):
-    """Quadrature oracle for one-axis box-truncated transforms.
-
-    Composite Gauss-Legendre with panel doubling until two successive levels
-    agree within tol (a Richardson-style verification).
-    """
-    q = float(q)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    prev = None
-    panels = 4
-    for _ in range(max_doublings):
-        edges = np.linspace(-L / 2, L / 2, panels + 1)
-        total = 0.0 + 0.0j
-        half = np.diff(edges) / 2
-        mid = (edges[:-1] + edges[1:]) / 2
-        x = mid[:, None] + half[:, None] * nodes[None, :]
-        w = half[:, None] * weights[None, :]
-        fx = np.asarray(func(x.ravel()), dtype=complex).reshape(x.shape)
-        total = np.sum(w * fx * np.exp(-2j * np.pi * q * x.ravel()).reshape(x.shape))
-        if prev is not None and abs(total - prev) <= tol:
-            return total
-        prev = total
-        panels *= 2
-    raise ToleranceError(
-        f"fourier quadrature did not reach tol={tol}", achieved=abs(total - prev)
-    )
 
 
 def profile_periodized_value(profile: ProfileSpec, x, L):

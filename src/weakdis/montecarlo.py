@@ -61,10 +61,6 @@ class HamiltonianMatrix:
     entries: np.ndarray
     lattice: MomentumLattice
 
-    def hermiticity_residual(self) -> float:
-        scale = max(1.0, float(np.abs(self.entries).max()))
-        return float(np.abs(self.entries - self.entries.conj().T).max()) / scale
-
 
 @dataclass
 class EstimatorResult:
@@ -114,23 +110,6 @@ def sample_config(lattice: MomentumLattice, dist: WeightDistribution,
 
 # ---------------------------------------------------------------------------
 # assembly
-
-
-def potential_fourier(config: PoissonConfig, profile: ProfileSpec,
-                      lattice: MomentumLattice, p):
-    """Transform of the realized potential at momentum p (difference range)."""
-    from .lattice import profile_fourier_periodized
-
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 1
-    pts = np.atleast_2d(p_arr)
-    bhat = profile_fourier_periodized(profile, pts, lattice.L)
-    if config.M == 0:
-        out = np.zeros(pts.shape[0], dtype=complex)
-    else:
-        phases = np.exp(-2j * np.pi * (pts @ config.positions.T))
-        out = bhat * (phases @ config.weights)
-    return complex(out[0]) if scalar else out
 
 
 @lru_cache(maxsize=None)

@@ -42,29 +42,41 @@ class SetPartition:
         return iter(self.blocks)
 
 
-def enumerate_partitions(n):
-    """Yield every partition of {1..n} once, in restricted-growth-string
-    lexicographic order (fixed forever for reproducible term ordering)."""
+def growth_strings(n):
+    """Yield the restricted growth string of every partition of {1..n} once,
+    in lexicographic order (fixed forever for reproducible term ordering):
+    g[i] is the block index of element i + 1, and each g[i] is at most one
+    more than max(g[:i])."""
     if not 1 <= n <= MAX_GROUND_SET:
         raise BudgetError(f"partition enumeration supports 1 <= n <= {MAX_GROUND_SET}")
-    g = [0] * n  # growth string; g[i] = block index of element i+1
+    head = [0] * (n - 1)  # every position but the last
+    top = [0] * (n - 1)  # top[i] = max(head[:i + 1])
     while True:
-        nblocks = max(g) + 1
-        blocks = [[] for _ in range(nblocks)]
+        # the last position runs through every value it can take
+        prefix = tuple(head)
+        for b in range(top[-1] + 2 if head else 1):
+            yield prefix + (b,)
+        # the last earlier position that can still grow; reset what follows
+        i = n - 2
+        while i > 0 and head[i] > top[i - 1]:
+            i -= 1
+        if i <= 0:
+            return
+        head[i] += 1
+        top[i] = max(top[i - 1], head[i])
+        for j in range(i + 1, n - 1):
+            head[j] = 0
+            top[j] = top[i]
+
+
+def enumerate_partitions(n):
+    """Yield every partition of {1..n} once, one per growth string, in the
+    order of ``growth_strings``."""
+    for g in growth_strings(n):
+        blocks = [[] for _ in range(max(g) + 1)]
         for i, b in enumerate(g):
             blocks[b].append(i + 1)
-        yield SetPartition(n=n, blocks=tuple(tuple(b) for b in blocks))
-        # next restricted growth string
-        i = n - 1
-        while i > 0:
-            if g[i] <= max(g[:i]):
-                g[i] += 1
-                for j in range(i + 1, n):
-                    g[j] = 0
-                break
-            i -= 1
-        else:
-            return
+        yield SetPartition(n=n, blocks=tuple(map(tuple, blocks)))
 
 
 def bell_number(n) -> int:
@@ -134,14 +146,6 @@ def is_crossing(A: SetPartition) -> bool:
     return any(block_of[j][0] < p or block_of[j][-1] > q
                for b in A.blocks for p, q in zip(b, b[1:])
                for j in range(p + 1, q))
-
-
-def sigma(A: SetPartition, j, l) -> int:
-    """Indicator that the block of l reaches past position j (max a(l) > j)."""
-    maps = partition_maps(A)
-    if not 1 <= l <= A.n:
-        raise ConfigError("index l outside the ground set")
-    return 1 if max(maps.block_of[l]) > j else 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +226,17 @@ def all_partitions(n):
     return list(enumerate_partitions(n))
 
 
-def live_partition(A: SetPartition, dist: WeightDistribution):
-    """The table row of A, or None when its moment weight vanishes."""
-    w = moment_weight(A, dist)
-    k = len(A.blocks)
-    return LivePartition(A, w, A.n - k, k) if w != 0.0 else None
-
-
 def live_partitions(n, dist: WeightDistribution):
     """The partitions of {1..n} that contribute to an order-n sum, in
     enumeration order, with their moment weight, free-index count and block
     count; zero-weight partitions are dropped."""
-    rows = (live_partition(A, dist) for A in all_partitions(n))
-    return [row for row in rows if row is not None]
+    rows = []
+    for A in all_partitions(n):
+        w = moment_weight(A, dist)
+        if w != 0.0:
+            k = len(A.blocks)
+            rows.append(LivePartition(A, w, A.n - k, k))
+    return rows
 
 
 # ---------------------------------------------------------------------------

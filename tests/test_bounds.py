@@ -13,7 +13,6 @@ from weakdis import (
     check_arctan_bound,
     check_log_integral_bound,
     check_resolvent_sum_bound,
-    check_sup_weight_grid,
     check_weighted_resolvent_sum,
     const_C,
     const_C1,
@@ -25,9 +24,7 @@ from weakdis import (
 from weakdis.bounds import (
     _big_window_data,
     _ft_axis_abs,
-    _maximize_sup_weight,
     _weighted_square_sum,
-    sup_weight_decoupled,
 )
 from weakdis.lattice import int_box
 
@@ -237,26 +234,3 @@ def test_scaling_exponent_formula():
     n, eps = 4, 0.3
     assert scaling_exponent(n, eps) == pytest.approx(
         n - (2.0 - eps) * (n / 2.0 + 1.5), rel=1e-15)
-
-
-def test_sup_weight_grid():
-    rep = check_sup_weight_grid(1.0 / 32.0, 0.5, 0.5,
-                                [(0.0,), (1.0,), (2.0,), (4.0,)], sigma=1)
-    assert rep.passed
-    assert rep.lhs >= 1.0
-
-
-def test_sup_weight_grid_validation():
-    with pytest.raises(ConfigError):
-        check_sup_weight_grid(1.0, 1.5, 0.5, [(0.0,)])
-    with pytest.raises(ConfigError):
-        check_sup_weight_grid(1.0, 0.5, 0.5, [(0.0,)], sigma=2)
-
-
-def test_sup_weight_decoupled_cross_check():
-    # sigma = 0 makes the joint weight factorize, so the direct joint
-    # search must land on the product of the two single-momentum sups
-    q, E, eta, eps = (1.0,), 0.25, 0.3, 0.5
-    joint = _maximize_sup_weight(q, E, eta, eps, sigma=0, seed=0)
-    product = sup_weight_decoupled(q, E, eta, eps, seed=0)
-    assert joint == pytest.approx(product, rel=1e-6)

@@ -2,6 +2,7 @@
 non-crossing partitions and the box enumeration for crossing ones, checked
 against the brute-force oracle past single blocks and against each other."""
 
+import json
 import math
 
 import numpy as np
@@ -98,14 +99,46 @@ def test_budget_counts_the_route_taken(std_lattice, gauss_profile):
     nested = pt.SetPartition(4, ((1, 2, 3, 4),))
     crossing = pt.SetPartition(4, ((1, 3), (2, 4)))
     zs = (Z,) * 5
-    # the nested route costs m N^3 + N, well under its N (4K+1)^{m} terms
-    _, count = co._chain_sum(nested, std_lattice, btab, zs,
-                             budget=3 * N**3 + N)
+    # one block of r = 4 costs (r - 2) N^3 + N^2, and the chain N: well
+    # under its N (4K+1)^{m} terms
+    cost = 2 * N**3 + N**2 + N
+    _, count = co._chain_sum(nested, std_lattice, btab, zs, budget=cost)
     assert count == N * 33**3
     with pytest.raises(BudgetError):
-        co._chain_sum(nested, std_lattice, btab, zs, budget=3 * N**3 + N - 1)
+        co._chain_sum(nested, std_lattice, btab, zs, budget=cost - 1)
     with pytest.raises(BudgetError):
         co._chain_sum(crossing, std_lattice, btab, zs, budget=N * 33**2 - 1)
+
+
+def test_pair_block_costs_no_cube(tmp_path, std_model_dict, run_cli):
+    # {12} forms no N x N product, only the diagonal of T D T: N^2 + N
+    # multiply-adds at N = 2049 fit the default budget, N^3 would not.  Run
+    # in a child process, so its N x N tables stay out of this one's caches.
+    model = dict(std_model_dict, L=256.0, K=1024,
+                 weights={"kind": "explicit-moments", "moments": [0.0, 1.0]})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": model, "study": {
+        "kind": "expand", "orders": [2], "z": [[1.0, 0.3]]}}))
+    proc = run_cli("expand", cfg, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    row = (tmp_path / "out" / "expand.csv").read_text().splitlines()[1]
+    assert all(math.isfinite(float(x)) for x in row.split(",")[1:5])
+
+
+def test_conjugate_spectral_parameter_conjugates_the_chain_sum(gauss_profile):
+    # btab is real, so both routes conjugate exactly; compared with ==,
+    # because the sign of an exact zero real part (nu == Re z) may differ
+    lat = build_lattice(1, 2.0, 8)
+    btab = co.bhat_difference_table(gauss_profile, lat)
+    seen = set()
+    for n in range(5):
+        zs = tuple(complex(0.5 + 0.25 * j, 0.3 + 0.05 * j) for j in range(n + 1))
+        for A in pt.all_partitions(n):
+            got, _ = co._chain_sum(A, lat, btab, tuple(np.conj(zs)))
+            want, _ = co._chain_sum(A, lat, btab, zs)
+            assert np.array_equal(got, np.conj(want)), A.blocks
+            seen.add(A.blocks)
+    assert ((1, 3), (2, 4)) in seen
 
 
 def test_transfer_and_node_tables_are_cached_read_only(std_lattice,

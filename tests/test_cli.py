@@ -133,6 +133,15 @@ def test_exit_2_unknown_key(tmp_path, std_model_dict, run_cli):
     assert run_cli("expand", cfg, tmp_path / "o").returncode == 2
 
 
+def test_exit_2_removed_sup_weight_key(tmp_path, std_model_dict, run_cli):
+    study = {"kind": "bounds", "E_grid": [1.0], "eta_grid": [0.1],
+             "L_grid": [2], "d_grid": [1], "include_sup_weight": False}
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    proc = run_cli("bounds", cfg, tmp_path / "o")
+    assert proc.returncode == 2
+    assert "include_sup_weight" in proc.stderr
+
+
 def test_exit_2_missing_seed(tmp_path, std_model_dict, run_cli):
     study = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
              "lambdas": [0.1], "n_samples": 32}

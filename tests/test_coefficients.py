@@ -6,7 +6,6 @@ import pytest
 from weakdis import (
     BudgetError,
     ConfigError,
-    SetPartition,
     Wavepacket,
     WeightDistribution,
     bhat_star_norms,
@@ -14,7 +13,6 @@ from weakdis import (
     coefficient_T,
     coefficient_T_oracle,
     conj_symmetry_check,
-    partition_term_C,
     profile_fourier_periodized,
     truncation_tail_bound,
 )
@@ -116,20 +114,13 @@ def test_partition_count_matches_bell(std_lattice, gauss_profile, rademacher,
 
 def test_zero_weight_partition_short_circuits(std_lattice, gauss_profile,
                                               rademacher, psi_pair):
+    # m_1 = 0: the one partition of order 1 is dead, so no lattice term is
+    # summed and it is reported as an exact zero
     psi1, psi2 = psi_pair
-    singleton = SetPartition(1, ((1,),))
-    val = partition_term_C(1, singleton, std_lattice, gauss_profile,
-                           rademacher, Z, psi1, psi2)
-    assert val == 0
-
-
-def test_partition_term_wrong_order_rejected(std_lattice, gauss_profile,
-                                             rademacher, psi_pair):
-    psi1, psi2 = psi_pair
-    pairs = SetPartition(2, ((1, 2),))
-    with pytest.raises(ConfigError):
-        partition_term_C(3, pairs, std_lattice, gauss_profile, rademacher, Z,
-                         psi1, psi2)
+    res = coefficient_T(1, std_lattice, gauss_profile, rademacher, Z, psi1,
+                        psi2, per_partition=True)
+    assert res.value == 0 and res.term_count == 0
+    assert res.per_partition == {((1,),): 0}
 
 
 def test_real_z_rejected(std_lattice, gauss_profile, rademacher, psi_pair):

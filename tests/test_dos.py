@@ -69,6 +69,21 @@ def test_coefficients_are_real(n, std_lattice, gauss_profile, rademacher):
     assert row.imag_residual <= 1e-12
 
 
+def test_one_chain_sum_per_live_row(std_lattice, gauss_profile, monkeypatch):
+    # the E - i eta sum is the conjugate of the E + i eta one, not recomputed
+    from weakdis import dos
+    from weakdis import partitions as pt
+
+    calls = []
+    chain_sum = dos._chain_sum
+    monkeypatch.setattr(dos, "_chain_sum",
+                        lambda *a, **k: calls.append(a[0]) or chain_sum(*a, **k))
+    dist = WeightDistribution(kind="explicit-moments", moments=(0.5, 1.0, 1.0))
+    dos_coefficient_D(3, 1.0, 0.3, std_lattice, gauss_profile, dist)
+    assert calls == [row.partition for row in pt.live_partitions(3, dist)]
+    assert len(calls) == 5
+
+
 def test_order1_vanishes_for_centered_weights(std_lattice, gauss_profile,
                                               rademacher):
     row = dos_coefficient_D(1, 1.0, 0.3, std_lattice, gauss_profile,

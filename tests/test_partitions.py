@@ -19,7 +19,6 @@ from weakdis import (
     permutation_count_check,
     poisson_factorial_moment,
     rng_for,
-    sigma,
 )
 
 # independently derived via the binomial recurrence
@@ -106,13 +105,6 @@ def test_chi_tilde_examples():
     assert chi_tilde(A, (5, 5, 2, 2)) == 1
     assert chi_tilde(A, (5, 5, 5, 5)) == 0  # distinct across blocks fails
     assert chi_tilde(A, (5, 1, 2, 2)) == 0  # constant within block fails
-
-
-def test_sigma_indicator():
-    A = SetPartition(4, ((1, 3), (2,), (4,)))
-    assert sigma(A, 1, 1) == 1  # block of 1 reaches position 3 > 1
-    assert sigma(A, 3, 1) == 0
-    assert sigma(A, 2, 2) == 0
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 5])
