@@ -76,62 +76,6 @@ from .partitions import (
 )
 from .report import BoundReport
 
-__all__ = [
-    "BoundReport",
-    "BudgetError",
-    "CheckFailure",
-    "ChiBump",
-    "CoefficientResult",
-    "ConfigError",
-    "EstimatorResult",
-    "HamiltonianMatrix",
-    "MomentumLattice",
-    "PoissonConfig",
-    "ProfileSpec",
-    "SetPartition",
-    "Wavepacket",
-    "WeightDistribution",
-    "apply_MA",
-    "assemble_hamiltonian",
-    "bell_number",
-    "bhat_star_norms",
-    "build_lattice",
-    "c_tilde",
-    "check_arctan_bound",
-    "check_log_integral_bound",
-    "check_resolvent_sum_bound",
-    "check_weighted_resolvent_sum",
-    "chi_tilde",
-    "coefficient_T",
-    "coefficient_T_oracle",
-    "conj_symmetry_check",
-    "const_C",
-    "const_C1",
-    "dist_to_spectrum",
-    "dos_coefficient_D",
-    "dos_density_order0",
-    "dos_eta_grid_check",
-    "dos_expansion",
-    "dos_mc",
-    "enumerate_partitions",
-    "estimate_expectation",
-    "estimate_partial_term",
-    "fourier_decay_check",
-    "main_error_bound_rhs",
-    "measured_cB",
-    "moment_weight",
-    "neumann_identity_check",
-    "nu",
-    "partition_maps",
-    "permutation_count_check",
-    "poisson_factorial_moment",
-    "potential_matrix",
-    "profile_fourier_periodized",
-    "profile_periodized_value",
-    "rng_for",
-    "sample_config",
-    "scaling_exponent",
-    "trace_class_bound_check",
-    "truncation_tail_bound",
-    "wavepacket_fourier_periodized",
-]
+# every public name imported above, listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

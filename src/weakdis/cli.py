@@ -68,6 +68,23 @@ def _require_keys(block: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _number(value, where, integral=False):
+    """A config number, never parsed from a string nor truncated: a bool, a
+    string, or a fraction where an integer is wanted is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            integral and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _numbers(value, where, integral=False) -> list:
+    """A config list of numbers, each checked by ``_number``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(v, where, integral) for v in value]
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -129,9 +146,9 @@ def _build_psi(spec: dict, d: int) -> Wavepacket:
 
 
 def build_model(model: dict):
-    d = int(model.get("d", 1))
+    d = _number(model.get("d", 1), "model.d", True)
     L = float(model.get("L", 2.0))
-    K = int(model.get("K", 8))
+    K = _number(model.get("K", 8), "model.K", True)
     lattice = build_lattice(d, L, K)
     profile = _build_profile(model.get("profile", {}))
     dist = _build_weights(model.get("weights", {}))
@@ -185,14 +202,18 @@ def cmd_expand(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
     if "orders" in study:
-        orders = [int(n) for n in study["orders"]]
+        orders = _numbers(study["orders"], "study.orders", True)
     else:
-        orders = list(range(int(study.get("n_max", 2)) + 1))
+        orders = list(range(_number(study.get("n_max", 2), "study.n_max", True) + 1))
     if not orders or min(orders) < 0:
         raise ConfigError("expand needs at least one order, and no negative one")
-    zs = [complex(float(p[0]), float(p[1]))
-          for p in study.get("z", [[1.0, 0.3]])]
-    budget = int(study.get("budget", coeff.DEFAULT_TERM_BUDGET))
+    pairs = study.get("z", [[1.0, 0.3]])
+    if not isinstance(pairs, list) or any(len(_numbers(p, "study.z")) != 2
+                                          for p in pairs):
+        raise ConfigError("study.z must be a list of [Re z, Im z] pairs")
+    zs = [complex(*p) for p in pairs]
+    budget = _number(study.get("budget", coeff.DEFAULT_TERM_BUDGET),
+                     "study.budget", True)
     per_partition = bool(cfg.get("output", {}).get("per_partition", False))
 
     meta = _model_meta(lattice, profile, dist)
@@ -203,7 +224,7 @@ def cmd_expand(cfg, out_dir, threads, check):
         for n in orders:
             res = coeff.coefficient_T(n, lattice, profile, dist, z, psi1,
                                       psi2, per_partition=per_partition,
-                                      threads=threads, budget=budget)
+                                      budget=budget)
             tail = coeff.truncation_tail_bound(n, lattice, profile, dist, z,
                                                psi1, psi2)
             rows.append([str(n), _fmt(z.real), _fmt(z.imag),
@@ -249,21 +270,22 @@ def _fit_loglog(lams, values, sigmas):
 def cmd_mc_validate(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
-    n_keep = int(study.get("n_keep", 2))
+    n_keep = _number(study.get("n_keep", 2), "study.n_keep", True)
     eta = float(study.get("eta", 0.3))
     E = float(study.get("E", 1.0))
-    lams = [float(l) for l in study.get("lambdas", [0.1, 0.05, 0.025])]
-    n_samples = int(study.get("n_samples", 20000))
-    seed = int(study["seed"])
+    lams = _numbers(study.get("lambdas", [0.1, 0.05, 0.025]), "study.lambdas")
+    n_samples = _number(study.get("n_samples", 20000), "study.n_samples", True)
+    seed = _number(study["seed"], "study.seed", True)
     antithetic = bool(study.get("antithetic", True))
-    control_orders = [int(j) for j in study.get("control_orders", [1, 2, 3])]
+    control_orders = _numbers(study.get("control_orders", [1, 2, 3]),
+                              "study.control_orders", True)
     z = complex(E, eta)
 
     max_order = max([n_keep] + control_orders)
     T = {}
     for j in range(max_order + 1):
-        T[j] = coeff.coefficient_T(j, lattice, profile, dist, z, psi1, psi2,
-                                   threads=threads).value
+        T[j] = coeff.coefficient_T(j, lattice, profile, dist, z, psi1,
+                                   psi2).value
     controls = {j: T[j] for j in control_orders}
 
     meta = _model_meta(lattice, profile, dist)
@@ -314,7 +336,8 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
     _write_json(os.path.join(out_dir, "mc_validate.json"), report)
     if check:
         if not holds(None if slope is None else abs(slope - expected), 0.5):
-            shown = "undefined" if slope is None else f"{slope:.3f}"
+            shown = ("undefined" if slope is None
+                     else f"{slope:.3f} (fit s.e. {slope_se:.3g})")
             raise CheckFailure(
                 f"residual scaling slope {shown} outside {expected} +- 0.5")
         if not all_bounded:
@@ -329,21 +352,20 @@ def cmd_dos(cfg, out_dir, threads, check):
     eps = float(study.get("eps", 0.5))
     eta = study.get("eta")
     eta = float(eta) if eta is not None else None
-    order = int(study.get("order", 2))
+    order = _number(study.get("order", 2), "study.order", True)
     if order < 0:
         raise ConfigError("order must be nonnegative")
     chi_spec = study.get("chi", {})
     chi = dosmod.ChiBump(center=float(chi_spec.get("center", 1.0)),
                          width=float(chi_spec.get("width", 0.5)))
-    n_samples = int(study.get("n_samples", 400))
-    seed = int(study["seed"])
+    n_samples = _number(study.get("n_samples", 400), "study.n_samples", True)
+    seed = _number(study["seed"], "study.seed", True)
     check_routes = bool(study.get("check_routes", True))
 
     # one integration up to the order beyond the kept sum: that order's row
     # is the empirical remainder scale (absent past the dimension cap)
     _, all_rows, meta_exp = dosmod.dos_expansion(
-        chi, lam, eps, order + 1, lattice, profile, dist, eta=eta,
-        threads=threads)
+        chi, lam, eps, order + 1, lattice, profile, dist, eta=eta)
     eta_used = meta_exp["eta"]
     rows = all_rows[:order + 1]
     total = math.fsum(row["value"] for row in rows)
@@ -401,12 +423,12 @@ def _bound_rows(cfg):
     """Every BoundReport of the bounds study, in output order."""
     lattice, profile, dist, _, _ = build_model(cfg["model"])
     study = cfg["study"]
-    E_grid = [float(x) for x in study.get("E_grid", [0.5, 1.0, 2.0])]
-    eta_grid = [float(x) for x in study.get("eta_grid",
-                                            [1e-3, 1e-2, 0.1, 1.0])]
-    L_grid = [float(x) for x in study.get("L_grid", [1, 2, 4, 8])]
-    d_grid = [int(x) for x in study.get("d_grid", [1, 2])]
-    seed = int(study.get("seed", 1))
+    E_grid = _numbers(study.get("E_grid", [0.5, 1.0, 2.0]), "study.E_grid")
+    eta_grid = _numbers(study.get("eta_grid", [1e-3, 1e-2, 0.1, 1.0]),
+                        "study.eta_grid")
+    L_grid = _numbers(study.get("L_grid", [1, 2, 4, 8]), "study.L_grid")
+    d_grid = _numbers(study.get("d_grid", [1, 2]), "study.d_grid", True)
+    seed = _number(study.get("seed", 1), "study.seed", True)
 
     spot = abs(bnd.const_C1(1.0, 1) - 4.0 * math.sqrt(2.0))
     reports = [BoundReport(name="const_C1_spot", lhs=spot, rhs=1e-12),
@@ -460,11 +482,11 @@ def cmd_bounds(cfg, out_dir, threads, check):
 def cmd_scaling(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
-    n = int(study.get("n", 2))
+    n = _number(study.get("n", 2), "study.n", True)
     eps = float(study.get("eps", 0.5))
     E = float(study.get("E", 1.0))
-    lams = [float(l) for l in study.get(
-        "lambdas", list(np.geomspace(1e-3, 1e-1, 9)))]
+    lams = _numbers(study.get("lambdas", list(np.geomspace(1e-3, 1e-1, 9))),
+                    "study.lambdas")
 
     rows = []
     xs = []
@@ -493,9 +515,9 @@ def cmd_scaling(cfg, out_dir, threads, check):
 
 def cmd_partitions(cfg, out_dir, threads, check):
     study = cfg["study"]
-    n_max = int(study.get("n_max", 4))
-    M_max = int(study.get("M_max", 5))
-    bell_max = int(study.get("bell_max", 10))
+    n_max = _number(study.get("n_max", 4), "study.n_max", True)
+    M_max = _number(study.get("M_max", 5), "study.M_max", True)
+    bell_max = _number(study.get("bell_max", 10), "study.bell_max", True)
     _, _, dist, _, _ = build_model(cfg["model"])
 
     rows = []

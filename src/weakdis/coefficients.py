@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import partitions as pt
-from ._accum import chunk_ranges, fsum_c, run_ordered
+from ._accum import fsum_c
 from .errors import BudgetError, ConfigError
 from .lattice import (
     MomentumLattice,
@@ -35,7 +35,6 @@ from .lattice import (
 from .report import BoundReport
 
 DEFAULT_TERM_BUDGET = 50_000_000
-_CHUNK_ELEMS = 1 << 21
 
 
 @dataclass
@@ -73,16 +72,14 @@ def psi_hat_vector(psi: Wavepacket, lattice: MomentumLattice):
 
 
 def _diff_index(s, K, d):
-    """Flat index into the difference table for integer steps s (…, d)."""
-    side = 4 * K + 1
-    c = np.clip(s + 2 * K, 0, side - 1)
-    idx = c[..., 0].astype(np.int64)
-    for j in range(1, d):
-        idx = idx * side + c[..., j]
-    return idx
+    """Flat index into the difference table for integer steps s (…, d),
+    each coordinate clipped to the difference window."""
+    return np.ravel_multi_index(tuple(np.moveaxis(s + 2 * K, -1, 0)),
+                                (4 * K + 1,) * d, mode="clip")
 
 
-@lru_cache(maxsize=None)
+# a study uses one lattice: the (N, N) tables of the last one stay resident
+@lru_cache(maxsize=1)
 def _pair_index(lattice: MomentumLattice):
     """Difference-table index of ints[a] - ints[b], every pair; cached, read-only."""
     ints = lattice.ints
@@ -91,7 +88,7 @@ def _pair_index(lattice: MomentumLattice):
     return idx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _transfer_table(lattice: MomentumLattice, btab_bytes: bytes):
     """T[a, b] = btab[ints[a] - ints[b]], btab given by its bytes; cached, read-only."""
     T = np.frombuffer(btab_bytes)[_pair_index(lattice)]
@@ -103,105 +100,116 @@ def _transfer_table(lattice: MomentumLattice, btab_bytes: bytes):
 # the resolved per-partition lattice sum
 
 
-def _nested_chain_sum(A, lattice, btab, zs):
-    """Per-u0 chain sum of a non-crossing partition (see ``_chain_sum``)."""
-    nu = 0.5 * np.sum((lattice.ints * (1.0 / lattice.L)) ** 2, axis=-1)
-    R = [1.0 / (nu - z) for z in zs]
-    T = _transfer_table(lattice, btab.tobytes())
-    block_of = {j: b for b in A.blocks for j in b}
-
-    def closed(lo, hi):
-        # product of the blocks tiling positions lo..hi-1
-        b = block_of.get(lo)
-        return block(b) * closed(b[-1] + 1, hi) if lo < hi else 1.0
-
-    def block(b):
-        # products by einsum, whose bits do not depend on the BLAS thread
-        # count; only the diagonal of the last one is formed
-        D = [R[p] * closed(p + 1, q) for p, q in zip(b, b[1:])]
-        M = T
-        for Di in D[:-1]:
-            M = np.einsum("ij,jk->ik", M * Di, T)
-        return (np.einsum("ij,ji->i", M * D[-1], T) if D else T.diagonal()) * R[b[-1]]
-
-    return R[0] * closed(1, A.n + 1)
+def _slot_forms(A):
+    """Chain momenta k_0..k_n as {variable: ±1} sums of the outer momentum
+    u (variable 0) and the free momenta (variable j for the k_j of a
+    non-maximal j).  A block maximum closes its block:
+    k_j = k_{j-1} - sum over the block's other members i of (k_i - k_{i-1})."""
+    eye = np.eye(A.n + 1, dtype=int)
+    forms = [eye[0]]
+    for j in range(1, A.n + 1):
+        b = next(b for b in A.blocks if j in b)
+        forms.append(eye[j] if j < b[-1] else
+                     forms[j - 1] - sum(eye[i] - forms[i - 1] for i in b[:-1]))
+    return [{v: int(c) for v, c in enumerate(f) if c} for f in forms]
 
 
-def _chain_sum(A, lattice, btab, zs, *, threads=1, budget=DEFAULT_TERM_BUDGET):
+@lru_cache(maxsize=None)
+def _chain_plan(A):
+    """Symbolic plan of one partition's chain sum (see ``_chain_sum``): the
+    factors as (slot j, forms, scope) in the order R_0, T_1, R_1, ..., R_n;
+    the einsums as (factor ids, subscripts); and the exponent of N in the
+    cost of each gathered table and each einsum."""
+    forms = _slot_forms(A)
+    factors = []
+    for j in range(A.n + 1):
+        # the step T(k_{j-1}, k_j) reads two forms, R_j(k_j) one
+        for fs in ([forms[j - 1:j + 1]] if j else []) + [forms[j:j + 1]]:
+            factors.append((j, fs, tuple(dict.fromkeys(v for f in fs for v in f))))
+    scopes = [scope for _, _, scope in factors]
+    powers = [len(scope) for _, fs, scope in factors if any(len(f) > 1 for f in fs)]
+    elims = []
+
+    def einsum(ids, out):
+        letters = lambda scope: "".join(chr(97 + v) for v in scope)
+        subs = ",".join(letters(scopes[i]) for i in ids) + "->" + letters(out)
+        elims.append((ids, subs))
+        powers.append(len(set(out).union(*(scopes[i] for i in ids))))
+        scopes.append(out)
+        return [i for i in live if i not in ids] + [len(scopes) - 1]
+
+    # sum out the free momenta, fewest neighbours first and ties to the later
+    # (inner) momentum, so that a non-crossing partition costs what its nested
+    # products would; the last einsum multiplies what is left into one factor
+    # over u
+    live, free = list(range(len(scopes))), sorted(set().union(*forms) - {0})
+    while free:
+        nbrs = {v: set().union(*(scopes[i] for i in live if v in scopes[i])) - {v}
+                for v in free}
+        v = min(free, key=lambda v: (len(nbrs[v]), -v))
+        free.remove(v)
+        live = einsum([i for i in live if v in scopes[i]], tuple(sorted(nbrs[v])))
+    einsum(live, (0,))
+    return factors, elims, powers
+
+
+def _window_index(form, scope, lattice):
+    """Window index of the momentum sum ``form`` over the grid of ``scope``
+    (one axis per variable, 0 outside the window) and the mask of the grid
+    points where it lies inside."""
+    K = lattice.K
+    idx, ok = 0, True
+    for a in range(lattice.d):
+        c = sum(coef * lattice.ints[:, a].reshape([-1 if u == v else 1 for u in scope])
+                for v, coef in form.items())
+        ok = ok & (np.abs(c) <= K)
+        idx = idx * (2 * K + 1) + c + K
+    return np.where(ok, idx, 0), ok
+
+
+def _chain_sum(A, lattice, btab, zs, *, budget=DEFAULT_TERM_BUDGET):
     """Sum the resolved integrand of one partition over the truncated window;
     zs holds the spectral parameter of each chain slot (length A.n + 1).
 
-    A non-crossing partition (every one up to n = 3) returns the momentum
-    to its entry value after each closed block, so a block p1 < ... < pr
-    entered at a is diag(T D_1 T ... D_{r-1} T)(a) R_{pr}(a): T[a, b] =
-    btab[k_a - k_b], R_j = 1/(nu - zs[j]), and D_i is R_{pi} times the
-    closed blocks between p_i and p_{i+1}; the chain is R_0 times its
-    top-level blocks.  That costs (r - 2) N^3 + N^2 multiply-adds per block
-    of r >= 2 members (r - 2 products and one diagonal), N per singleton and
-    N for the chain.  A crossing partition sums the box of N (4K+1)^{md}
-    step tuples.  The cost of the route taken is checked against the budget
-    before it runs.
+    The summand is the product of R_j(k_j) = 1/(nu(k_j) - zs[j]) and
+    T(k_{j-1}, k_j) = btab[k_{j-1} - k_j] over the chain momenta, every one
+    a signed sum of u and the free momenta (``_slot_forms``) inside the
+    window.  Each R_j and T is one factor over its forms' variables: R_j, T
+    or diag(T) itself when each form is one variable, else (the closure of
+    a crossing block) a table gathered with the window mask.  The free
+    momenta are summed out one at a time, fewest neighbours first, each by
+    one plain einsum: no BLAS runs, so no bit depends on the thread count.
+    The cost, N to the number of variables of each gathered table and each
+    einsum, is checked against the budget before anything is built.  A
+    non-crossing block of r >= 2 members costs (r - 2) N^3 + N^2, the final
+    product over u N, and {13|24} 4 N^3 + N^2 + N.
 
     Returns (per-u0 array, term_count): one chain sum per outer momentum,
-    and N (4K+1)^{md}, the size of the partition's term set on either route.
+    and N (4K+1)^{md}, the size of the box of free steps the sum covers.
     """
-    d, K, L = lattice.d, lattice.K, lattice.L
-    n = A.n
-    if len(zs) != n + 1:
+    if len(zs) != A.n + 1:
         raise ConfigError("need one resolvent slot per chain position")
-    m = n - len(A.blocks)
-    side = 4 * K + 1
-    Nv = side ** (m * d)
     N = lattice.size
-    crossing = pt.is_crossing(A)
-    cost = N * Nv if crossing else N + sum(
-        (len(b) - 2) * N**3 + N**2 if len(b) > 1 else N for b in A.blocks)
+    factors, elims, powers = _chain_plan(A)
+    cost = sum(N**p for p in powers)
     if cost > budget:
         raise BudgetError(
             f"partition {A.blocks} needs {cost:.3g} multiply-adds, budget {budget:.3g}")
-    if not crossing:
-        return _nested_chain_sum(A, lattice, btab, zs), N * Nv
 
-    # every point of the free-momentum box, substituted into the n steps
-    free = int_box(m * d, 2 * K).reshape(Nv, m, d).transpose(1, 0, 2)
-    steps = pt.apply_MA(A, free)
-
-    prefix = np.zeros((n + 1, Nv, d), dtype=np.int64)
-    if n:
-        np.cumsum(steps, axis=0, out=prefix[1:])
-
-    # step factors of the profile transform (independent of the outer momentum)
-    bprod = np.ones(Nv)
-    for j in range(n):
-        bprod *= btab[_diff_index(-steps[j], K, d)]
-        # steps beyond the difference window are killed by the chain mask below
-        out_of_window = np.any(np.abs(steps[j]) > 2 * K, axis=-1)
-        if out_of_window.any():
-            bprod[out_of_window] = 0.0
-
-    u_ints = lattice.ints
-    res = np.zeros(N, dtype=complex)
-    rows = max(1, _CHUNK_ELEMS // max(Nv, 1))
-    ranges = chunk_ranges(N, rows)
-
-    inv_L = 1.0 / L
-
-    def work(lo, hi):
-        u = u_ints[lo:hi]
-        acc = np.ones((hi - lo, Nv), dtype=complex)
-        ok = np.ones((hi - lo, Nv), dtype=bool)
-        for slot in range(n + 1):
-            kj = u[:, None, :] + prefix[slot][None, :, :]
-            if slot not in (0, n):
-                ok &= np.all(np.abs(kj) <= K, axis=-1)
-            nuv = 0.5 * np.sum((kj * inv_L) ** 2, axis=-1)
-            acc *= 1.0 / (nuv - zs[slot])
-        acc *= bprod[None, :]
-        acc[~ok] = 0.0
-        res[lo:hi] = np.sum(acc, axis=1)
-
-    run_ordered([lambda lo=lo, hi=hi: work(lo, hi) for lo, hi in ranges], threads)
-    return res, N * Nv
+    nu = 0.5 * np.sum((lattice.ints * (1.0 / lattice.L)) ** 2, axis=-1)
+    R = [1.0 / (nu - z) for z in zs]
+    T = _transfer_table(lattice, btab.tobytes())
+    tabs = []
+    for j, fs, scope in factors:
+        tab = T if len(fs) == 2 else R[j]
+        if all(len(f) == 1 for f in fs):
+            tabs.append(T.diagonal() if tab is T and len(scope) == 1 else tab)
+        else:
+            idx, ok = zip(*(_window_index(f, scope, lattice) for f in fs))
+            tabs.append(np.where(ok[0] & ok[-1], tab[idx], 0.0))
+    for ids, subs in elims:
+        tabs.append(np.einsum(subs, *(tabs[i] for i in ids)))
+    return tabs[-1], N * (4 * lattice.K + 1) ** ((A.n - len(A.blocks)) * lattice.d)
 
 
 def _prefactor(row: pt.LivePartition, lattice) -> float:
@@ -209,23 +217,8 @@ def _prefactor(row: pt.LivePartition, lattice) -> float:
     return row.weight * lattice.volume ** (-(row.m + 1))
 
 
-def _live_terms(rows, lattice, btab, zs, psi_w, *, threads, budget):
-    """(prefactor * psi-weighted chain sum, lattice term count) of each
-    live row."""
-    out = []
-    for row in rows:
-        res, terms = _chain_sum(row.partition, lattice, btab, zs,
-                                threads=threads, budget=budget)
-        out.append((_prefactor(row, lattice) * fsum_c(psi_w * res), terms))
-    return out
-
-
-def _psi_weights(psi1, psi2, lattice):
-    return np.conj(psi_hat_vector(psi1, lattice)) * psi_hat_vector(psi2, lattice)
-
-
 def coefficient_T(n, lattice, profile, dist, z, psi1, psi2, *,
-                  per_partition=False, threads=1,
+                  per_partition=False,
                   budget=DEFAULT_TERM_BUDGET) -> CoefficientResult:
     """Order-n expansion coefficient: sum of all partition terms.
 
@@ -234,9 +227,13 @@ def coefficient_T(n, lattice, profile, dist, z, psi1, psi2, *,
     """
     dist_to_spectrum(z)
     rows = pt.live_partitions(n, dist)
-    terms = _live_terms(rows, lattice, bhat_difference_table(profile, lattice),
-                        (z,) * (n + 1), _psi_weights(psi1, psi2, lattice),
-                        threads=threads, budget=budget)
+    btab = bhat_difference_table(profile, lattice)
+    psi_w = np.conj(psi_hat_vector(psi1, lattice)) * psi_hat_vector(psi2, lattice)
+    terms = []  # (prefactor * psi-weighted chain sum, lattice term count)
+    for row in rows:
+        res, cnt = _chain_sum(row.partition, lattice, btab, (z,) * (n + 1),
+                              budget=budget)
+        terms.append((_prefactor(row, lattice) * fsum_c(psi_w * res), cnt))
     per = None
     if per_partition:
         # every partition is reported; the dead ones contribute exactly zero
@@ -404,11 +401,10 @@ def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
     return total * dist_z ** (-(n + 1))
 
 
-def conj_symmetry_check(n, lattice, profile, dist, z, psi, *, threads=1) -> BoundReport:
+def conj_symmetry_check(n, lattice, profile, dist, z, psi) -> BoundReport:
     """T_n at conj(z) must equal the conjugate of T_n at z (same psi twice)."""
-    t1 = coefficient_T(n, lattice, profile, dist, z, psi, psi, threads=threads).value
-    t2 = coefficient_T(n, lattice, profile, dist, np.conj(z), psi, psi,
-                       threads=threads).value
+    t1 = coefficient_T(n, lattice, profile, dist, z, psi, psi).value
+    t2 = coefficient_T(n, lattice, profile, dist, np.conj(z), psi, psi).value
     lhs = abs(t2 - np.conj(t1))
     rhs = 1e-12 * max(abs(t1), 1e-300)
     return BoundReport(

@@ -82,7 +82,7 @@ def _order_cap(d: int) -> int:
     return 3 if d == 1 else 2
 
 
-def _dos_value(n, rows, E, eta, lattice, btab, *, threads, budget) -> complex:
+def _dos_value(n, rows, E, eta, lattice, btab, *, budget) -> complex:
     """Sum over the live rows of the order-n coefficient's (1/2i) difference
     of the two boundary values at E +- i eta.  btab is real, so the chain
     sum at E - i eta is the exact conjugate of the one at E + i eta."""
@@ -90,12 +90,12 @@ def _dos_value(n, rows, E, eta, lattice, btab, *, threads, budget) -> complex:
     vals = []
     for row in rows:
         rp, _ = _chain_sum(row.partition, lattice, btab, (zp,) * (n + 1),
-                           threads=threads, budget=budget)
+                           budget=budget)
         vals.append(_prefactor(row, lattice) * fsum_c((rp - np.conj(rp)) / 2j))
     return fsum_c(vals)
 
 
-def dos_coefficient_D(n, E, eta, lattice, profile, dist, *, threads=1,
+def dos_coefficient_D(n, E, eta, lattice, profile, dist, *,
                       budget=DEFAULT_TERM_BUDGET) -> DosCoefficient:
     """DOS expansion coefficient at order n.
 
@@ -109,8 +109,7 @@ def dos_coefficient_D(n, E, eta, lattice, profile, dist, *, threads=1,
         raise BudgetError(
             f"DOS order {n} over the d={lattice.d} cap {_order_cap(lattice.d)}")
     total = _dos_value(n, pt.live_partitions(n, dist), E, eta, lattice,
-                       bhat_difference_table(profile, lattice),
-                       threads=threads, budget=budget)
+                       bhat_difference_table(profile, lattice), budget=budget)
     return DosCoefficient(
         n=n, E=float(E), eta=float(eta), value=float(total.real),
         tail_bound=_dos_tail(n, lattice, profile, dist, E, eta),
@@ -193,7 +192,7 @@ def _dos_tail(n, lattice, profile, dist, E, eta) -> float:
 
 
 def dos_expansion(chi, lam, eps, N_target, lattice, profile, dist, *,
-                  eta=None, threads=1, quad_rtol=1e-8,
+                  eta=None, quad_rtol=1e-8,
                   budget=DEFAULT_TERM_BUDGET):
     """Partial DOS expansion integrated against chi.
 
@@ -230,7 +229,6 @@ def dos_expansion(chi, lam, eps, N_target, lattice, profile, dist, *,
         # evaluated where it is reported
         def integrand(E):
             return chi(E) * float(_dos_value(n, live, E, eta, lattice, btab,
-                                             threads=threads,
                                              budget=budget).real)
 
         val, abserr = quad(integrand, a, b, epsrel=quad_rtol, epsabs=1e-14,

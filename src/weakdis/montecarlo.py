@@ -112,13 +112,18 @@ def sample_config(lattice: MomentumLattice, dist: WeightDistribution,
 # assembly
 
 
-@lru_cache(maxsize=None)
-def _difference_layout(lattice: MomentumLattice):
-    """(phase points int_box(d, 2K) / L of the flattened difference window,
-    the pair index shared with the chain sums); cached, read-only."""
+@lru_cache(maxsize=1)
+def _phase_points(lattice: MomentumLattice):
+    """int_box(d, 2K) / L, the flattened difference window; cached, read-only."""
     pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
     pts.setflags(write=False)
-    return pts, _pair_index(lattice)
+    return pts
+
+
+def _difference_layout(lattice: MomentumLattice):
+    """(phase points of the difference window, the pair index shared with
+    the chain sums); the pair index has one cache, ``_pair_index``'s."""
+    return _phase_points(lattice), _pair_index(lattice)
 
 
 def potential_matrix(config: PoissonConfig, lattice: MomentumLattice,

@@ -2,8 +2,9 @@
 
 Each one computes its quantity another way than the engine does: a dense
 per-matrix LU solve, direct quadrature of a box-truncated Fourier integral,
-the realized potential's transform as an explicit sum over scatterers, and
-the closed-form box norm of a wavepacket.
+the realized potential's transform as an explicit sum over scatterers, the
+closed-form box norm of a wavepacket, and a partition's chain sum by
+enumerating the box of its free steps.
 """
 
 import math
@@ -13,14 +14,17 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import erf
 
 from weakdis._accum import fsum_c
+from weakdis.coefficients import _diff_index
 from weakdis.lattice import (
     MomentumLattice,
     ProfileSpec,
     Wavepacket,
     dist_to_spectrum,
+    int_box,
     profile_fourier_periodized,
 )
 from weakdis.montecarlo import HamiltonianMatrix, PoissonConfig, _as_hat
+from weakdis.partitions import SetPartition, apply_MA
 
 
 def resolvent_matrix_element(H: HamiltonianMatrix, z, psi1, psi2) -> complex:
@@ -91,3 +95,53 @@ def box_norm_sq(psi: Wavepacket, L) -> float:
         # int exp(-pi s u^2) du over [x0-L/2, x0+L/2] shifted to the box
         total *= (erf(c * (L / 2 - x0j)) + erf(c * (L / 2 + x0j))) / (2 * math.sqrt(s))
     return total
+
+
+def is_crossing(A: SetPartition) -> bool:
+    """True when two blocks interleave: one has an element between two
+    consecutive members of the other and one outside them."""
+    block_of = {j: b for b in A.blocks for j in b}
+    return any(block_of[j][0] < p or block_of[j][-1] > q
+               for b in A.blocks for p, q in zip(b, b[1:])
+               for j in range(p + 1, q))
+
+
+def box_chain_sum(A, lattice, btab, zs):
+    """Per-u0 chain sum of one partition over the box of N (4K+1)^{md} free
+    step tuples, with every chain momentum masked to the window; returns
+    (per-u0 array, term count) like ``coefficients._chain_sum``."""
+    d, K, L = lattice.d, lattice.K, lattice.L
+    n = A.n
+    m = n - len(A.blocks)
+    Nv = (4 * K + 1) ** (m * d)
+    N = lattice.size
+
+    # every point of the free-momentum box, substituted into the n steps
+    free = int_box(m * d, 2 * K).reshape(Nv, m, d).transpose(1, 0, 2)
+    steps = apply_MA(A, free)
+
+    prefix = np.zeros((n + 1, Nv, d), dtype=np.int64)
+    if n:
+        np.cumsum(steps, axis=0, out=prefix[1:])
+
+    # step factors of the profile transform (independent of the outer momentum)
+    bprod = np.ones(Nv)
+    for j in range(n):
+        bprod *= btab[_diff_index(-steps[j], K, d)]
+        # steps beyond the difference window are killed by the chain mask below
+        out_of_window = np.any(np.abs(steps[j]) > 2 * K, axis=-1)
+        if out_of_window.any():
+            bprod[out_of_window] = 0.0
+
+    u = lattice.ints
+    acc = np.ones((N, Nv), dtype=complex)
+    ok = np.ones((N, Nv), dtype=bool)
+    for slot in range(n + 1):
+        kj = u[:, None, :] + prefix[slot][None, :, :]
+        if slot not in (0, n):
+            ok &= np.all(np.abs(kj) <= K, axis=-1)
+        nuv = 0.5 * np.sum((kj * (1.0 / L)) ** 2, axis=-1)
+        acc *= 1.0 / (nuv - zs[slot])
+    acc *= bprod[None, :]
+    acc[~ok] = 0.0
+    return np.sum(acc, axis=1), N * Nv

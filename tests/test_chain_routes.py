@@ -1,9 +1,11 @@
-"""The two chain-sum routes: nested transfer-matrix products for
-non-crossing partitions and the box enumeration for crossing ones, checked
-against the brute-force oracle past single blocks and against each other."""
+"""The chain sum, which sums out the free momenta of every partition one at
+a time, checked against the brute-force oracle past single blocks and, per
+outer momentum, against the box of free steps in ``tests/reference.py``."""
 
 import json
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,14 +19,17 @@ from weakdis import (
     coefficient_T_oracle,
 )
 from weakdis import coefficients as co
+from weakdis import montecarlo
 from weakdis import partitions as pt
 from weakdis.montecarlo import _difference_layout, _gl_nodes
 
+from reference import box_chain_sum, is_crossing
+
 Z = 1.0 + 0.3j
-# m_2, m_3 and m_4 nonzero: the 2+2, 2+3, nested and crossing partitions
-# of n = 4 and 5 are all live
+# m_2 .. m_6 nonzero: the 2+2, 2+3, nested and crossing partitions of
+# n = 4 and 5 are all live, and at n = 6 three mutually crossing pairs
 SKEWED = WeightDistribution(kind="explicit-moments",
-                            moments=(0.0, 1.0, 1.0, 3.0, 2.0))
+                            moments=(0.0, 1.0, 1.0, 3.0, 2.0, 5.0))
 PSI_D2 = (Wavepacket(x0=(0.0, 0.0), a=(0.0, 0.0), sigma=1.0),
           Wavepacket(x0=(0.25, -0.1), a=(1.0, 0.0), sigma=1.0))
 
@@ -44,70 +49,86 @@ def test_order4_matches_oracle_rademacher(d, K, gauss_profile, rademacher,
     assert _rel(res.value, ora) < 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_orders_4_5_match_oracle_explicit_moments(n, gauss_profile,
+@pytest.mark.parametrize("n, K", [(4, 4), (5, 4), (6, 3)], ids=["4", "5", "6"])
+def test_orders_4_5_match_oracle_explicit_moments(n, K, gauss_profile,
                                                   psi_pair):
-    lat = build_lattice(1, 2.0, 4)
+    lat = build_lattice(1, 2.0, K)
     rows = pt.live_partitions(n, SKEWED)
-    assert any(pt.is_crossing(row.partition) for row in rows)
-    assert any(len(row.partition.blocks) > 1 and not pt.is_crossing(row.partition)
+    assert any(is_crossing(row.partition) for row in rows)
+    assert any(len(row.partition.blocks) > 1 and not is_crossing(row.partition)
                for row in rows)
     res = coefficient_T(n, lat, gauss_profile, SKEWED, Z, *psi_pair)
     ora = coefficient_T_oracle(n, lat, gauss_profile, SKEWED, Z, *psi_pair)
     assert _rel(res.value, ora) < 1e-12
 
 
-def _box(A, lat, btab, zs, monkeypatch):
-    with monkeypatch.context() as mp:
-        mp.setattr(pt, "is_crossing", lambda A: True)
-        return co._chain_sum(A, lat, btab, zs)
-
-
 @pytest.mark.parametrize("d, K, n_max", [(1, 3, 6), (2, 1, 4)])
-def test_nested_route_equals_box_route(d, K, n_max, gauss_profile,
-                                       monkeypatch):
+def test_chain_sum_equals_box_reference(d, K, n_max, gauss_profile):
     lat = build_lattice(d, 2.0, K)
     btab = co.bhat_difference_table(gauss_profile, lat)
-    seen = 0
+    crossing = 0
     for n in range(n_max + 1):
         # a distinct spectral parameter per chain slot
         zs = tuple(complex(0.5 + 0.25 * j, 0.3 + 0.05 * j) for j in range(n + 1))
         for A in pt.all_partitions(n):
-            if pt.is_crossing(A):
-                continue
             got, count = co._chain_sum(A, lat, btab, zs)
-            want, box_count = _box(A, lat, btab, zs, monkeypatch)
+            want, box_count = box_chain_sum(A, lat, btab, zs)
             assert count == box_count == lat.size * (4 * K + 1) ** (
                 (n - len(A.blocks)) * d)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-            seen += 1
-    assert seen == sum(math.comb(2 * n, n) // (n + 1) for n in range(n_max + 1))
+            crossing += is_crossing(A)
+    assert crossing == sum(pt.bell_number(n) - math.comb(2 * n, n) // (n + 1)
+                           for n in range(n_max + 1))
 
 
 def test_non_crossing_count_is_catalan():
     for n in range(9):
-        count = sum(not pt.is_crossing(A) for A in pt.all_partitions(n))
+        count = sum(not is_crossing(A) for A in pt.all_partitions(n))
         assert count == math.comb(2 * n, n) // (n + 1)
-    assert pt.is_crossing(pt.SetPartition(4, ((1, 3), (2, 4))))
-    assert not pt.is_crossing(pt.SetPartition(4, ((1, 4), (2, 3))))
-    assert pt.is_crossing(pt.SetPartition(5, ((1, 3, 5), (2, 4))))
+    assert is_crossing(pt.SetPartition(4, ((1, 3), (2, 4))))
+    assert not is_crossing(pt.SetPartition(4, ((1, 4), (2, 3))))
+    assert is_crossing(pt.SetPartition(5, ((1, 3, 5), (2, 4))))
 
 
 def test_budget_counts_the_route_taken(std_lattice, gauss_profile):
     btab = co.bhat_difference_table(gauss_profile, std_lattice)
     N = std_lattice.size
-    nested = pt.SetPartition(4, ((1, 2, 3, 4),))
-    crossing = pt.SetPartition(4, ((1, 3), (2, 4)))
     zs = (Z,) * 5
-    # one block of r = 4 costs (r - 2) N^3 + N^2, and the chain N: well
-    # under its N (4K+1)^{m} terms
-    cost = 2 * N**3 + N**2 + N
-    _, count = co._chain_sum(nested, std_lattice, btab, zs, budget=cost)
-    assert count == N * 33**3
-    with pytest.raises(BudgetError):
-        co._chain_sum(nested, std_lattice, btab, zs, budget=cost - 1)
-    with pytest.raises(BudgetError):
-        co._chain_sum(crossing, std_lattice, btab, zs, budget=N * 33**2 - 1)
+    # {1234} sums out k3, k2, k1 at N^3, N^3 and N^2, then multiplies into
+    # u at N.  {13|24} gathers three N^3 tables over (u, k1, k2) for its
+    # closure k3 = k2 - k1 + u, sums out k2 at N^3 and k1 at N^2, then N.
+    # Either costs far less than its N (4K+1)^{m} terms.
+    for blocks, cost, m in ((((1, 2, 3, 4),), 2 * N**3 + N**2 + N, 3),
+                            (((1, 3), (2, 4)), 4 * N**3 + N**2 + N, 2)):
+        A = pt.SetPartition(4, blocks)
+        _, count = co._chain_sum(A, std_lattice, btab, zs, budget=cost)
+        assert count == N * 33**m
+        with pytest.raises(BudgetError):
+            co._chain_sum(A, std_lattice, btab, zs, budget=cost - 1)
+
+
+def test_non_crossing_plans_cost_the_nested_products():
+    # the elimination order sums the inner blocks first, as nested products
+    # of T would: (r - 2) N^3 + N^2 per block of r >= 2 members, N at the end
+    for n in range(9):
+        for A in pt.all_partitions(n):
+            if not is_crossing(A):
+                want = Counter({1: 1})
+                for b in A.blocks:
+                    if len(b) > 1:
+                        want.update({3: len(b) - 2, 2: 1})
+                assert Counter(co._chain_plan(A)[2]) == +want, A.blocks
+
+
+def test_crossing_pair_fits_the_default_budget_at_d3(gauss_profile):
+    # the box of {13|24} at d = 3, K = 2 holds N 9^6 = 6.6e7 step tuples,
+    # over the default budget; summing out the free momenta costs 7.8e6
+    lat = build_lattice(3, 2.0, 2)
+    btab = co.bhat_difference_table(gauss_profile, lat)
+    A = pt.SetPartition(4, ((1, 3), (2, 4)))
+    got, count = co._chain_sum(A, lat, btab, (Z,) * 5)
+    assert count == lat.size * 9**6 > co.DEFAULT_TERM_BUDGET
+    assert got.shape == (lat.size,) and np.all(np.isfinite(got))
 
 
 def test_pair_block_costs_no_cube(tmp_path, std_model_dict, run_cli):
@@ -154,3 +175,21 @@ def test_transfer_and_node_tables_are_cached_read_only(std_lattice,
         assert not tab.flags.writeable
     assert co._transfer_table(std_lattice, btab.tobytes()) is T
     assert _gl_nodes(0.5, 1.5, 8)[0] is x
+
+
+def test_lattice_keyed_caches_are_bounded(gauss_profile):
+    # a study uses one lattice, so the tables of the lattice met before are
+    # released when the next one is built, not kept for the process's life
+    A = pt.SetPartition(2, ((1, 2),))
+    caches = (co._pair_index, co._transfer_table, montecarlo._phase_points)
+    released = []
+    for K in (5, 6, 7):
+        lat = build_lattice(1, 2.0, K)
+        btab = co.bhat_difference_table(gauss_profile, lat)
+        co._chain_sum(A, lat, btab, (Z,) * 3)
+        tables = _difference_layout(lat) + (co._transfer_table(lat, btab.tobytes()),)
+        assert all(ref() is None for ref in released)
+        released = [weakref.ref(tab) for tab in tables]
+        del tables
+        for cache in caches:
+            assert cache.cache_info().currsize == cache.cache_info().maxsize == 1

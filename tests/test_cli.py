@@ -1,6 +1,10 @@
 import json
 import math
 
+import pytest
+
+from weakdis import ConfigError, cli
+
 
 def write_config(path, model, study, output=None):
     cfg = {"model": model, "study": study}
@@ -161,6 +165,48 @@ def test_exit_2_bad_thread_env(tmp_path, std_model_dict, run_cli):
     proc = run_cli("expand", cfg, tmp_path / "o",
                    env_extra={"ENGINE_THREADS": "0"})
     assert proc.returncode == 2
+
+
+MC_STUDY = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
+            "lambdas": [0.1, 0.05], "n_samples": 32, "seed": 9}
+
+
+@pytest.mark.parametrize("model, study, key", [
+    ({"K": 2.7}, {"kind": "expand", "n_max": 1}, "model.K"),
+    ({"d": True}, {"kind": "expand", "n_max": 1}, "model.d"),
+    ({}, dict(MC_STUDY, lambdas="abc"), "study.lambdas"),
+    ({}, dict(MC_STUDY, lambdas=[0.1, "0.05"]), "study.lambdas"),
+    ({}, dict(MC_STUDY, seed=9.5), "study.seed"),
+    ({}, {"kind": "expand", "orders": [1.5]}, "study.orders"),
+    ({}, {"kind": "expand", "n_max": "2"}, "study.n_max"),
+    ({}, {"kind": "expand", "z": [["1", 0.3]]}, "study.z"),
+    ({}, {"kind": "bounds", "d_grid": [1.5]}, "study.d_grid"),
+    ({}, {"kind": "partitions", "bell_max": 8.5}, "study.bell_max"),
+], ids=["K-fraction", "d-bool", "lambdas-string", "lambdas-string-entry",
+        "seed-fraction", "orders-fraction", "n_max-string", "z-string",
+        "d_grid-fraction", "bell_max-fraction"])
+def test_exit_2_config_numbers_are_not_coerced(model, study, key, tmp_path,
+                                               std_model_dict, capsys):
+    # a fractional integer is not truncated, a string is not parsed; run
+    # in-process, since each case stops at its config check
+    cfg = write_config(tmp_path / "c.json", dict(std_model_dict, **model),
+                       study)
+    code = cli.main([study["kind"], "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2 and key in capsys.readouterr().err
+
+
+def test_config_number_helpers():
+    from weakdis.cli import _number, _numbers
+
+    assert _number(8.0, "K", True) == 8 and type(_number(8.0, "K", True)) is int
+    assert _numbers([1, 0.5], "lambdas") == [1.0, 0.5]
+    for bad in (2.7, True, "2", None, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            _number(bad, "K", True)
+    for bad in ("abc", [0.1, "x"], [False], 0.1):
+        with pytest.raises(ConfigError):
+            _numbers(bad, "lambdas")
 
 
 def test_exit_3_budget(tmp_path, std_model_dict, run_cli):

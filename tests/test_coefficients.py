@@ -130,16 +130,6 @@ def test_real_z_rejected(std_lattice, gauss_profile, rademacher, psi_pair):
                       psi1, psi2)
 
 
-def test_threads_bitwise_identical(std_lattice, gauss_profile, rademacher,
-                                   psi_pair):
-    psi1, psi2 = psi_pair
-    a = coefficient_T(2, std_lattice, gauss_profile, rademacher, Z, psi1,
-                      psi2, threads=1).value
-    b = coefficient_T(2, std_lattice, gauss_profile, rademacher, Z, psi1,
-                      psi2, threads=4).value
-    assert a == b
-
-
 def test_budget_error(std_lattice, gauss_profile, rademacher, psi_pair):
     psi1, psi2 = psi_pair
     with pytest.raises(BudgetError):

@@ -21,6 +21,7 @@ ALLOWED = {
     "coefficients.conj_symmetry_check": "acceptance criterion 9",
     "montecarlo.neumann_identity_check": "acceptance criterion 9",
     "partitions.poisson_factorial_moment": "acceptance criterion 2",
+    "partitions.apply_MA": "acceptance criterion 9",
 }
 
 
