@@ -1,4 +1,4 @@
-"""Deterministic accumulation helpers.
+"""Deterministic accumulation helpers and the one quadrature rule.
 
 Every reduction that crosses a chunk or thread boundary goes through
 ``math.fsum`` (exact for float64 inputs), so results are bit-identical for
@@ -8,8 +8,11 @@ shape and axis order.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
 def fsum_r(values) -> float:
@@ -43,3 +46,45 @@ def run_ordered(tasks, threads):
     with ThreadPoolExecutor(max_workers=threads) as ex:
         futures = [ex.submit(t) for t in tasks]
         return [f.result() for f in futures]
+
+
+def gl_rule(edges):
+    """Nodes and weights of the 16-point Gauss-Legendre rule on every panel
+    [edges[i], edges[i+1]]."""
+    e = np.asarray(edges, dtype=float)
+    mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
+    return ((mid[:, None] + half[:, None] * _GL_X).ravel(),
+            (half[:, None] * _GL_W).ravel())
+
+
+@lru_cache(maxsize=8)
+def gl_nodes(edges: tuple):
+    """``gl_rule`` on a fixed mesh that repeats; cached, read-only."""
+    x, w = gl_rule(edges)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gl_integrate(f, edges, rtol):
+    """Integral of f over [edges[0], edges[-1]] by ``gl_rule``, every panel
+    halved until two successive rules agree within rtol * max(1, int |f|).
+
+    f maps the node array to values of shape (..., nodes).  Halving finds
+    neither a kink off the edges nor a peak that no node sees, so callers
+    put edges on the kinks and grade them toward the peaks.
+    """
+    edges, prev = np.asarray(edges, dtype=float), None
+    while edges.size <= 1 << 16:  # past 2^20 nodes, a kink is off the edges
+        x, w = gl_rule(edges)
+        fx = f(x)
+        cur = np.sum(fx * w, axis=-1)
+        if not np.all(np.isfinite(cur)):
+            raise ValueError("integrand is not finite")
+        if prev is not None and np.max(np.abs(cur - prev)) <= rtol * max(
+                1.0, float(np.max(np.sum(np.abs(fx) * w, axis=-1)))):
+            return cur
+        prev = cur
+        edges = np.insert(edges, np.arange(1, edges.size),
+                          0.5 * (edges[:-1] + edges[1:]))
+    raise RuntimeError("quadrature did not converge")

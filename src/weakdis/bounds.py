@@ -2,7 +2,7 @@
 
 Each closed-form constant is an evaluable function; each inequality gets a
 checker that measures its left side numerically (truncated sums with tail
-estimates, or adaptive quadrature) and reports lhs/rhs/margin.  Where a
+estimates, or ``gl_integrate``) and reports lhs/rhs/margin.  Where a
 constant is non-explicit in the underlying estimates, the checker verifies
 the claimed scaling shape instead and says so in its notes — no invented
 numbers are presented as ground truth.
@@ -13,17 +13,18 @@ from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import partitions as pt
 # fsum_c is unused here, but perfbench/tracer.py wraps this binding
-from ._accum import fsum_c, fsum_r  # noqa: F401
+from ._accum import fsum_c, fsum_r, gl_integrate  # noqa: F401
 from .coefficients import bhat_star_norms
 from .errors import BudgetError, ConfigError
 from .lattice import MomentumLattice, ProfileSpec, profile_fourier_periodized
 from .report import BoundReport
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+_RTOL = 1e-12  # of every continuum integral, relative to max(1, |I|)
+_L_GRID = (1, 2, 4, 8)  # box sizes of measured_cB and the weighted sum
 
 
 def const_C1(E: float, d: int) -> float:
@@ -59,30 +60,35 @@ def ft_norm_inf(profile: ProfileSpec, d: int) -> float:
     return abs(profile.b0) * float(axis(0.0)) ** d
 
 
+def _graded(p: float, h: float) -> set:
+    # edges p +- h 2^-k, k <= 40: panels shrink geometrically toward p
+    return {p + s * h * 0.5**k for k in range(41) for s in (-1.0, 1.0)}
+
+
+def _lobe_edges(r: float) -> list:
+    # 0 and the zeros m/(2r), 2 <= m <= 800, of the bump's axis transform,
+    # where its modulus has kinks
+    return [0.0, 1.0 / r] + [m / (2.0 * r) for m in range(3, 801)]
+
+
 def ft_norm_l1(profile: ProfileSpec, d: int) -> float:
     """L1 norm of the full-space transform (separable)."""
     if profile.kind == "gaussian":
         # each axis integrates to 1 regardless of sigma
         return abs(profile.b0)
-    axis = _ft_axis_abs(profile)
-    r = profile.r
-    # the transform has zeros at k = m/(2r) for m >= 2; integrate lobe by
-    # lobe so the kinks of |.| fall on segment boundaries
-    lobes = 800
-    edges = [0.0, 1.0 / r] + [m / (2.0 * r) for m in range(3, lobes + 1)]
-    val = math.fsum(quad(axis, a, b, limit=50)[0]
-                    for a, b in zip(edges, edges[1:]))
+    edges = _lobe_edges(profile.r)
+    val = float(gl_integrate(_ft_axis_abs(profile), edges, _RTOL))
     R = edges[-1]
     # |axis FT| <= r / ((2 r k)^2 - 1) beyond the main lobe
     tail = profile.r / (4.0 * profile.r**2 * R)
     return abs(profile.b0) * (2.0 * (val + tail)) ** d
 
 
-def fullspace_star_norms(profile: ProfileSpec, L: float, d: int,
-                         X: int = 8192):
+def fullspace_star_norms(profile: ProfileSpec, L: float, d: int):
     """(s1, sinf) lattice norms of the full-space transform sampled on the
     dual lattice: s1 = (1/L^d) sum |f|, sinf = sup |f|, both with explicit
     tails for the window cutoff."""
+    X = 8192
     axis = _ft_axis_abs(profile)
     ks = np.arange(-X, X + 1) / L
     vals = np.asarray(axis(ks), dtype=float)
@@ -197,39 +203,38 @@ def check_log_integral_bound(E: float, d: int, eta: float,
                              profile: ProfileSpec) -> BoundReport:
     """Continuum integral of |f(q)| / |q^2 - E -+ i eta| against
     C1(E,d) ||f||_inf log(1/eta + 1) + sqrt(2) ||f||_1, with f the
-    full-space profile transform."""
+    full-space profile transform.
+
+    The integral is radial (in d = 1, twice the half line), on panels
+    graded toward the peak of |f| at 0 and the breakpoint |q| = sqrt(E),
+    and split at kinks of |f|."""
     if E <= 0 or eta <= 0:
         raise ConfigError("need E > 0 and eta > 0")
+    if d > 1 and profile.kind != "gaussian":
+        raise ConfigError(
+            "radial reduction needs an isotropic profile in d >= 2")
     axis = _ft_axis_abs(profile)
     b0 = abs(profile.b0)
     root = math.sqrt(E)
-
-    if d == 1:
-        if profile.kind == "gaussian":
-            R = max(8.0 * math.sqrt(profile.sigma), 2.0 * root + 2.0)
-        else:
-            R = max(400.0 / profile.r, 2.0 * root + 2.0)
-
-        def f(x):
-            return b0 * float(axis(x)) / math.hypot(x * x - E, eta)
-
-        val, _ = quad(f, -R, R, points=[-root, root], limit=400)
-        tail = 2.0 * b0 * float(axis(R)) * R / (R * R - E)
-        lhs = val + tail
+    if profile.kind == "gaussian":
+        R, edges = max(8.0 * math.sqrt(profile.sigma), 2.0 * root + 2.0), set()
     else:
-        if profile.kind != "gaussian":
-            raise ConfigError(
-                "radial reduction needs an isotropic profile in d >= 2")
-        sig = profile.sigma
-        R = max(8.0 * math.sqrt(sig), 2.0 * root + 2.0)
+        R = max(400.0 / profile.r, 2.0 * root + 2.0)
+        edges = set(_lobe_edges(profile.r))
+    # panels also double in width from sqrt(E) out to R
+    edges |= {0.0, root, R} | _graded(0.0, 0.5 * root) | _graded(
+        root, 0.5 * root) | {root * 2.0**k for k in range(1, 64)}
+    # |f(q)| = |axis(|q|)| axis(0)^(d-1) for the isotropic Gaussian
+    weight = _SPHERE_AREA[d] * b0 * float(axis(0.0)) ** (d - 1)
 
-        def f(r):
-            rad = b0 * math.exp(-math.pi * r * r / sig) / sig ** (d / 2.0)
-            return _SPHERE_AREA[d] * r ** (d - 1) * rad / math.hypot(
-                r * r - E, eta)
+    def f(r):
+        return weight * r ** (d - 1) * axis(r) / np.hypot(r * r - E, eta)
 
-        val, _ = quad(f, 0.0, R, points=[root], limit=400)
-        lhs = val  # Gaussian decay makes the radial tail negligible
+    lhs = float(gl_integrate(
+        f, sorted(e for e in edges if 0.0 <= e <= R), _RTOL))
+    if d == 1:
+        # Gaussian decay makes the radial tail negligible in d >= 2
+        lhs += 2.0 * b0 * float(axis(R)) * R / (R * R - E)
     rhs = const_C1(E, d) * ft_norm_inf(profile, d) * math.log(
         1.0 / eta + 1.0) + math.sqrt(2.0) * ft_norm_l1(profile, d)
     return BoundReport(
@@ -240,25 +245,26 @@ def check_log_integral_bound(E: float, d: int, eta: float,
     )
 
 
-def check_arctan_bound(f, a: float, b: float, *,
-                       sup_window: float = 50.0,
-                       grid_points: int = 100_001) -> BoundReport:
-    """integral_a^b |f| <= pi * sup |<x>^2 f(x)| for a scalar function.
+def check_arctan_bound(f, a: float, b: float, points=()) -> BoundReport:
+    """integral_a^b |f| <= pi * sup |<x>^2 f(x)| for a vectorized function
+    whose kinks and narrow peaks lie at ``points``.
 
-    The sup is taken numerically on a dense grid spanning the integration
-    interval and a wide neighborhood of the origin.
+    The integral starts from 16 equal panels, graded toward every point;
+    the sup is taken numerically on a dense grid spanning the integration
+    interval and the neighborhood [-50, 50] of the origin.
     """
     if b <= a:
         raise ConfigError("need a < b")
-    lo = min(a, -sup_window)
-    hi = max(b, sup_window)
-    xs = np.linspace(lo, hi, grid_points)
+    edges = set(np.linspace(a, b, 17).tolist()).union(
+        *(_graded(p, (b - a) / 16.0) for p in points))
+    xs = np.linspace(min(a, -50.0), max(b, 50.0), 100_001)
     weighted = (1.0 + xs**2) * np.abs(np.asarray(f(xs), dtype=float))
     sup = float(weighted.max())
-    val, _ = quad(lambda x: abs(f(x)), a, b, limit=400)
+    val = gl_integrate(lambda x: np.abs(f(x)),
+                       sorted(e for e in edges if a <= e <= b), _RTOL)
     return BoundReport(
         name="arctan_bound",
-        lhs=val,
+        lhs=float(val),
         rhs=math.pi * sup,
         context={"a": a, "b": b, "sup_weighted": sup},
     )
@@ -287,16 +293,13 @@ def _weighted_square_sum(E, tau, eta, d, L, X):
 
 
 def check_weighted_resolvent_sum(E: float, tau: float, eta: float,
-                                 lattice: MomentumLattice, *,
-                                 decades: float = 3.0, n_eta: int = 13,
-                                 L_grid=(1, 2, 4, 8),
-                                 ratio_limit: float = 10.0) -> BoundReport:
+                                 lattice: MomentumLattice) -> BoundReport:
     """Scaling-shape check for the weighted resolvent-square sum.
 
     The dominating constant is non-explicit, so the check verifies that
-    LHS / (1 + eta^{-2}) stays within a bounded ratio across an eta-grid
-    spanning the requested decades (on the given lattice), and reports the
-    values across a box-size sweep for boundedness.
+    LHS / (1 + eta^{-2}) stays within a ratio of 10 across 13 etas
+    spanning three decades up from eta (on the given lattice), and reports
+    the values across the box-size sweep _L_GRID for boundedness.
     """
     d = lattice.d
     if not 0 <= tau < 4 - d:
@@ -304,7 +307,7 @@ def check_weighted_resolvent_sum(E: float, tau: float, eta: float,
     if eta <= 0:
         raise ConfigError("eta must be positive")
     X = _BIG_WINDOW[d] // 4 * max(1, int(lattice.L))
-    etas = np.geomspace(eta, min(1.0, eta * 10.0**decades), n_eta)
+    etas = np.geomspace(eta, min(1.0, eta * 10.0**3.0), 13)
     normalized = [
         _weighted_square_sum(E, tau, float(e), d, lattice.L, X)
         / (1.0 + float(e) ** -2)
@@ -312,15 +315,14 @@ def check_weighted_resolvent_sum(E: float, tau: float, eta: float,
     ]
     ratio = max(normalized) / min(normalized)
     by_L = {}
-    if L_grid:
-        for Lg in L_grid:
-            Xg = _BIG_WINDOW[d] // 4 * max(1, int(Lg))
-            by_L[float(Lg)] = _weighted_square_sum(
-                E, tau, eta, d, float(Lg), Xg) / (1.0 + eta**-2)
+    for Lg in _L_GRID:
+        Xg = _BIG_WINDOW[d] // 4 * max(1, int(Lg))
+        by_L[float(Lg)] = _weighted_square_sum(
+            E, tau, eta, d, float(Lg), Xg) / (1.0 + eta**-2)
     return BoundReport(
         name="weighted_resolvent_sum",
         lhs=ratio,
-        rhs=ratio_limit,
+        rhs=10.0,
         context={"E": E, "tau": tau, "eta_min": float(etas[0]),
                  "eta_max": float(etas[-1]),
                  "normalized_min": min(normalized),
@@ -335,16 +337,16 @@ def check_weighted_resolvent_sum(E: float, tau: float, eta: float,
 # main theorem right-hand side
 
 
-def measured_cB(profile: ProfileSpec, d: int, L_grid=(1, 2, 4, 8)) -> float:
-    """Measured sup over the box-size grid of the summed transform norm."""
-    return max(bhat_star_norms(profile, float(Lg), d=d)[0] for Lg in L_grid)
+def measured_cB(profile: ProfileSpec, d: int) -> float:
+    """Measured sup over the box sizes _L_GRID of the summed transform
+    norm."""
+    return max(bhat_star_norms(profile, float(Lg), d=d)[0] for Lg in _L_GRID)
 
 
-def c_tilde(E: float, d: int, profile: ProfileSpec, *,
-            L_grid=(1, 2, 4, 8)) -> float:
+def c_tilde(E: float, d: int, profile: ProfileSpec) -> float:
     """max of the two closed-form branches entering the order-2n sum."""
     normB1 = profile.norm_l1(d)
-    cB = measured_cB(profile, d, L_grid)
+    cB = measured_cB(profile, d)
     branch1 = 2.0 * normB1 * const_C1(2.0 * E, d)
     branch2 = (2.0 * normB1 * 2.0**d * math.sqrt(2.0)
                * (4.0 * E + 1.0) ** (d / 2.0) + 2.0 * cB)
@@ -352,8 +354,7 @@ def c_tilde(E: float, d: int, profile: ProfileSpec, *,
 
 
 def main_error_bound_rhs(n: int, d: int, E: float, eta: float, lam: float,
-                         profile: ProfileSpec, dist, psi1, psi2, *,
-                         L_grid=(1, 2, 4, 8)) -> float:
+                         profile: ProfileSpec, dist, psi1, psi2) -> float:
     """Closed-form dominating bound on the order-n expansion residual:
 
         lam^n eta^{-n/2} (1 + log(1/eta+1))^n eta^{-3/2} K_n ||psi1|| ||psi2||
@@ -367,7 +368,7 @@ def main_error_bound_rhs(n: int, d: int, E: float, eta: float, lam: float,
         raise ConfigError("need E > 0 and eta > 0")
     if dist.moment(1) != 0.0:
         raise ConfigError("the residual bound needs a centered weight law")
-    ct = c_tilde(E, d, profile, L_grid=L_grid)
+    ct = c_tilde(E, d, profile)
     normB1 = profile.norm_l1(d)
     ksq = sum((normB1**blocks * abs(mw) * ct ** (2 * n - blocks)
                for _, mw, _, blocks in pt.live_partitions(2 * n, dist)), 0.0)

@@ -69,9 +69,10 @@ def _require_keys(block: dict, allowed: set, where: str):
 
 
 def _number(value, where, integral=False):
-    """A config number, never parsed from a string nor truncated: a bool, a
-    string, or a fraction where an integer is wanted is a ConfigError."""
+    """A finite config number, never parsed from a string nor truncated: a
+    bool, a string, NaN, inf, or a fraction for an integer is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)) or (
             integral and isinstance(value, float) and not value.is_integer()):
         kind = "an integer" if integral else "a number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
@@ -117,14 +118,15 @@ def load_config(path: str) -> dict:
 
 def _build_profile(spec: dict) -> ProfileSpec:
     kind = spec.get("kind", "gaussian")
+    b0 = _number(spec.get("b0", 1.0), "model.profile.b0")
     if kind == "gaussian":
-        return ProfileSpec(kind="gaussian", b0=float(spec.get("b0", 1.0)),
-                           sigma=float(spec.get("sigma", 1.0)))
+        return ProfileSpec(kind="gaussian", b0=b0, sigma=_number(
+            spec.get("sigma", 1.0), "model.profile.sigma"))
     if kind == "cosine-bump":
         if "r" not in spec:
             raise ConfigError("cosine-bump profile needs a radius r")
-        return ProfileSpec(kind="cosine-bump", b0=float(spec.get("b0", 1.0)),
-                           r=float(spec["r"]))
+        return ProfileSpec(kind="cosine-bump", b0=b0,
+                           r=_number(spec["r"], "model.profile.r"))
     raise ConfigError(f"unknown profile kind {kind!r}")
 
 
@@ -139,21 +141,22 @@ def _build_weights(spec: dict) -> pt.WeightDistribution:
     return pt.WeightDistribution(kind=kind)
 
 
-def _build_psi(spec: dict, d: int) -> Wavepacket:
-    x0 = tuple(float(v) for v in spec.get("x0", [0.0] * d))
-    a = tuple(float(v) for v in spec.get("a", [0.0] * d))
-    return Wavepacket(x0=x0, a=a, sigma=float(spec.get("sigma", 1.0)))
+def _build_psi(spec: dict, d: int, where: str) -> Wavepacket:
+    x0 = tuple(_numbers(spec.get("x0", [0.0] * d), f"{where}.x0"))
+    a = tuple(_numbers(spec.get("a", [0.0] * d), f"{where}.a"))
+    return Wavepacket(x0=x0, a=a,
+                      sigma=_number(spec.get("sigma", 1.0), f"{where}.sigma"))
 
 
 def build_model(model: dict):
     d = _number(model.get("d", 1), "model.d", True)
-    L = float(model.get("L", 2.0))
+    L = _number(model.get("L", 2.0), "model.L")
     K = _number(model.get("K", 8), "model.K", True)
     lattice = build_lattice(d, L, K)
     profile = _build_profile(model.get("profile", {}))
     dist = _build_weights(model.get("weights", {}))
-    psi1 = _build_psi(model.get("psi1", {}), d)
-    psi2 = _build_psi(model.get("psi2", {}), d)
+    psi1 = _build_psi(model.get("psi1", {}), d, "model.psi1")
+    psi2 = _build_psi(model.get("psi2", {}), d, "model.psi2")
     if psi1.d != d or psi2.d != d:
         raise ConfigError("wavepacket dimension does not match the model")
     return lattice, profile, dist, psi1, psi2
@@ -271,8 +274,8 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
     n_keep = _number(study.get("n_keep", 2), "study.n_keep", True)
-    eta = float(study.get("eta", 0.3))
-    E = float(study.get("E", 1.0))
+    eta = _number(study.get("eta", 0.3), "study.eta")
+    E = _number(study.get("E", 1.0), "study.E")
     lams = _numbers(study.get("lambdas", [0.1, 0.05, 0.025]), "study.lambdas")
     n_samples = _number(study.get("n_samples", 20000), "study.n_samples", True)
     seed = _number(study["seed"], "study.seed", True)
@@ -348,16 +351,17 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
 def cmd_dos(cfg, out_dir, threads, check):
     lattice, profile, dist, _, _ = build_model(cfg["model"])
     study = cfg["study"]
-    lam = float(study.get("lam", 0.05))
-    eps = float(study.get("eps", 0.5))
+    lam = _number(study.get("lam", 0.05), "study.lam")
+    eps = _number(study.get("eps", 0.5), "study.eps")
     eta = study.get("eta")
-    eta = float(eta) if eta is not None else None
+    eta = _number(eta, "study.eta") if eta is not None else None
     order = _number(study.get("order", 2), "study.order", True)
     if order < 0:
         raise ConfigError("order must be nonnegative")
     chi_spec = study.get("chi", {})
-    chi = dosmod.ChiBump(center=float(chi_spec.get("center", 1.0)),
-                         width=float(chi_spec.get("width", 0.5)))
+    chi = dosmod.ChiBump(
+        center=_number(chi_spec.get("center", 1.0), "study.chi.center"),
+        width=_number(chi_spec.get("width", 0.5), "study.chi.width"))
     n_samples = _number(study.get("n_samples", 400), "study.n_samples", True)
     seed = _number(study["seed"], "study.seed", True)
     check_routes = bool(study.get("check_routes", True))
@@ -445,7 +449,11 @@ def _bound_rows(cfg):
         for E, eta in product(E_grid, eta_grid):
             reports.append(bnd.check_log_integral_bound(E, d, eta, profile))
 
-    reports.append(bnd.check_arctan_bound(profile.axis_value, -10.0, 10.0))
+    # the axis factor peaks at 0; the bump's has kinks at +-r
+    points = (0.0,) if profile.kind == "gaussian" else (
+        -profile.r, 0.0, profile.r)
+    reports.append(bnd.check_arctan_bound(profile.axis_value, -10.0, 10.0,
+                                          points))
 
     cfg_sample = mc.sample_config(lattice, dist, mc.rng_for(seed, 0))
     reports.append(dosmod.trace_class_bound_check(
@@ -483,8 +491,8 @@ def cmd_scaling(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
     n = _number(study.get("n", 2), "study.n", True)
-    eps = float(study.get("eps", 0.5))
-    E = float(study.get("E", 1.0))
+    eps = _number(study.get("eps", 0.5), "study.eps")
+    E = _number(study.get("E", 1.0), "study.E")
     lams = _numbers(study.get("lambdas", list(np.geomspace(1e-3, 1e-1, 9))),
                     "study.lambdas")
 

@@ -320,14 +320,13 @@ def bhat_star_norms(profile: ProfileSpec, L, K=None, d=1):
     return float(s1), float(sinf)
 
 
-def _axis_envelope_tail(env, L, K_in, X=200_000):
+def _axis_envelope_tail(env, L, K_in):
     """Upper bound on sum of env(m/L) over |m| > K_in (one axis).
 
-    Numeric out to X plus an integral-comparison remainder for the k^-2
-    envelope tail beyond it.
+    Numeric out to X = 200000 (2 K_in past it) plus an integral-comparison
+    remainder for the k^-2 envelope tail beyond it.
     """
-    if X <= K_in:
-        X = 2 * K_in
+    X = 200_000 if K_in < 200_000 else 2 * K_in
     ms = np.arange(K_in + 1, X + 1)
     partial = 2.0 * float(np.sum(env(ms / L)))
     # beyond X the envelopes decay at least like 1/k^2, so the remainder is
@@ -336,8 +335,9 @@ def _axis_envelope_tail(env, L, K_in, X=200_000):
     return partial + rem
 
 
-def _axis_pair_window_sum(env1, env2, L, K_in, X=100_000):
-    """(windowed, full) sums of env1*env2 over one integer axis."""
+def _axis_pair_window_sum(env1, env2, L, K_in):
+    """(windowed, full) sums of env1*env2 over one integer axis, to 1e5."""
+    X = 100_000
     ms_in = np.arange(-K_in, K_in + 1)
     win = float(np.sum(env1(ms_in / L) * env2(ms_in / L)))
     ms = np.arange(K_in + 1, X + 1)

@@ -2,20 +2,18 @@
 
 The order-n DOS coefficient combines the expansion coefficient at E + i eta
 and E - i eta, with plane-wave test functions whose normalization collapses
-the outer momentum sum.  The combination is real by conjugation symmetry;
-the imaginary residual is tracked as a diagnostic.
+the outer momentum sum.  The combination is real by conjugation symmetry.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import k0, k1
 
 from . import partitions as pt
-from ._accum import fsum_c, fsum_r
+from ._accum import fsum_c, fsum_r, gl_integrate
 from .coefficients import (
-    DEFAULT_TERM_BUDGET,
     _chain_sum,
     _free_escape_sums,
     _prefactor,
@@ -58,6 +56,10 @@ class ChiBump:
     def support(self):
         return (self.center - self.width, self.center + self.width)
 
+    @property
+    def mass(self):  # the bump's integral
+        return self.width * math.sqrt(math.e) * float(k1(0.5) - k0(0.5))
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         t = (x - self.center) / self.width
@@ -82,21 +84,19 @@ def _order_cap(d: int) -> int:
     return 3 if d == 1 else 2
 
 
-def _dos_value(n, rows, E, eta, lattice, btab, *, budget) -> complex:
+def _dos_value(n, rows, E, eta, lattice, btab) -> complex:
     """Sum over the live rows of the order-n coefficient's (1/2i) difference
     of the two boundary values at E +- i eta.  btab is real, so the chain
     sum at E - i eta is the exact conjugate of the one at E + i eta."""
     zp = complex(E, eta)
     vals = []
     for row in rows:
-        rp, _ = _chain_sum(row.partition, lattice, btab, (zp,) * (n + 1),
-                           budget=budget)
+        rp, _ = _chain_sum(row.partition, lattice, btab, (zp,) * (n + 1))
         vals.append(_prefactor(row, lattice) * fsum_c((rp - np.conj(rp)) / 2j))
     return fsum_c(vals)
 
 
-def dos_coefficient_D(n, E, eta, lattice, profile, dist, *,
-                      budget=DEFAULT_TERM_BUDGET) -> DosCoefficient:
+def dos_coefficient_D(n, E, eta, lattice, profile, dist) -> DosCoefficient:
     """DOS expansion coefficient at order n.
 
     Per partition, the plane-wave collapse leaves the chain sum itself per
@@ -109,7 +109,7 @@ def dos_coefficient_D(n, E, eta, lattice, profile, dist, *,
         raise BudgetError(
             f"DOS order {n} over the d={lattice.d} cap {_order_cap(lattice.d)}")
     total = _dos_value(n, pt.live_partitions(n, dist), E, eta, lattice,
-                       bhat_difference_table(profile, lattice), budget=budget)
+                       bhat_difference_table(profile, lattice))
     return DosCoefficient(
         n=n, E=float(E), eta=float(eta), value=float(total.real),
         tail_bound=_dos_tail(n, lattice, profile, dist, E, eta),
@@ -191,15 +191,28 @@ def _dos_tail(n, lattice, profile, dist, E, eta) -> float:
 # expansion and MC comparison
 
 
+def _dos_edges(a, b, eta, nu):
+    """Panels on [a, b], half as wide as their left edge is far from the
+    nearest lattice energy nu, clipped to [eta, (b - a)/8]."""
+    h = (b - a) / 8.0
+    near = np.unique(nu[(nu > a - h) & (nu < b + h)])
+    edges = [a]
+    while edges[-1] < b:
+        dist = float(np.min(np.abs(near - edges[-1]))) if near.size else h
+        step = min(h, max(eta, 0.5 * dist))
+        edges.append(edges[-1] + step if b - edges[-1] > 1.5 * step else b)
+    return edges
+
+
 def dos_expansion(chi, lam, eps, N_target, lattice, profile, dist, *,
-                  eta=None, quad_rtol=1e-8,
-                  budget=DEFAULT_TERM_BUDGET):
+                  eta=None):
     """Partial DOS expansion integrated against chi.
 
     Returns (total, rows, meta).  Each row integrates one order over the
-    support of chi by adaptive quadrature; the signed coupling power
-    (-lam)^n matches the resolvent expansion.  eta defaults to lam^(2-eps).
-    Orders beyond the dimension cap are not computed; the cap is recorded.
+    support of chi by ``gl_integrate`` on ``_dos_edges``, whose panels
+    shrink toward the order integrands' width-eta peaks; the signed
+    coupling power (-lam)^n matches the resolvent expansion.  eta defaults
+    to lam^(2-eps).  Orders beyond the dimension cap are not computed.
     """
     if not 0 < eps < 2:
         raise ConfigError("eps must lie in (0, 2)")
@@ -214,7 +227,7 @@ def dos_expansion(chi, lam, eps, N_target, lattice, profile, dist, *,
     a, b = chi.support
     cap = _order_cap(lattice.d)
     top = min(N_target, cap)
-    chi_mass, _ = quad(chi, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)
+    edges = _dos_edges(a, b, eta, lattice.nu_values)
     btab = bhat_difference_table(profile, lattice)
 
     rows = []
@@ -222,24 +235,22 @@ def dos_expansion(chi, lam, eps, N_target, lattice, profile, dist, *,
         live = pt.live_partitions(n, dist)
         if not live:
             rows.append({"n": n, "E": "integrated", "eta": eta, "value": 0.0,
-                         "tail_bound": 0.0, "quad_error": 0.0})
+                         "tail_bound": 0.0})
             continue
 
         # the quadrature nodes need only the value; the tail bound is
         # evaluated where it is reported
-        def integrand(E):
-            return chi(E) * float(_dos_value(n, live, E, eta, lattice, btab,
-                                             budget=budget).real)
+        def integrand(Es):
+            return chi(Es) * np.array([_dos_value(
+                n, live, E, eta, lattice, btab).real for E in Es.tolist()])
 
-        val, abserr = quad(integrand, a, b, epsrel=quad_rtol, epsabs=1e-14,
-                           limit=200)
+        val = float(gl_integrate(integrand, edges, 1e-11))
         term = ((-lam) ** n / math.pi) * val
         tmax = max(_dos_tail(n, lattice, profile, dist, Ept, eta)
                    for Ept in np.linspace(a + 1e-9, b - 1e-9, 5))
         rows.append({
             "n": n, "E": "integrated", "eta": eta, "value": term,
-            "tail_bound": (lam**n / math.pi) * tmax * chi_mass,
-            "quad_error": (lam**n / math.pi) * abserr,
+            "tail_bound": (lam**n / math.pi) * tmax * chi.mass,
         })
     total = math.fsum(row["value"] for row in rows)
     meta = {"eta": eta, "order_cap": cap, "requested_order": N_target,
@@ -248,14 +259,12 @@ def dos_expansion(chi, lam, eps, N_target, lattice, profile, dist, *,
 
 
 def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
-           threads=1, check_routes=False, rtol=1e-10):
+           threads=1, check_routes=False):
     """MC mean of the smoothed trace over disorder realizations.
 
     With check_routes, also returns the worst per-sample difference between
     the eigendecomposition route and the boundary-value quadrature route.
     """
-    if lattice.d > 3:
-        raise ConfigError("smoothed traces are restricted to d <= 3")
     if eta <= 0:
         raise ConfigError("eta must be positive")
     if n_samples < 2:
@@ -267,7 +276,7 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
 
     def traces(Vs):
         mus = np.linalg.eigvalsh(_hamiltonians(nu_c, (lam,), Vs)[:, 0])
-        return [(_trace_from_eigs(mu, chi, eta, volume, a, b, rtol),
+        return [(_trace_from_eigs(mu, chi, eta, volume, a, b),
                  _stone_from_eigs(mu, chi, eta, volume, a, b)
                  if check_routes else None) for mu in mus]
 
@@ -287,10 +296,10 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
 # trace-class and eta-scaling checks
 
 
-def potential_sup(config, lam, lattice, profile, pts_per_axis=None) -> float:
+def potential_sup(config, lam, lattice, profile) -> float:
     """Sup of the realized potential on a dense spatial grid."""
     d, L = lattice.d, lattice.L
-    pts_per_axis = pts_per_axis or {1: 4001, 2: 201, 3: 41}[d]
+    pts_per_axis = {1: 4001, 2: 201, 3: 41}[d]
     axes = [np.linspace(-L / 2, L / 2, pts_per_axis, endpoint=False)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     x = np.stack([g.ravel() for g in mesh], axis=-1)
@@ -301,16 +310,14 @@ def potential_sup(config, lam, lattice, profile, pts_per_axis=None) -> float:
     return lam * float(np.max(np.abs(vals))) if config.M else 0.0
 
 
-def trace_class_bound_check(config, lam, f, C_f, lattice, profile, *,
-                            pts_per_axis=None) -> BoundReport:
+def trace_class_bound_check(config, lam, f, C_f, lattice,
+                            profile) -> BoundReport:
     """tr|f(H)| <= C_f (2||V||_inf^2 + 2) tr((kinetic)^2 + 1)^{-1} on the
     truncated model, for |f| <= C_f <.>^{-2}."""
-    if lattice.d > 3:
-        raise ConfigError("trace-class check is restricted to d <= 3")
     H = assemble_hamiltonian(config, lam, lattice, profile)
     mu = np.linalg.eigvalsh(H.entries)
     lhs = fsum_r(np.abs(f(mu)))
-    vsup = potential_sup(config, lam, lattice, profile, pts_per_axis)
+    vsup = potential_sup(config, lam, lattice, profile)
     rhs = C_f * (2.0 * vsup**2 + 2.0) * fsum_r(1.0 / (lattice.nu_values**2 + 1.0))
     return BoundReport(
         name="trace_class",
@@ -320,16 +327,14 @@ def trace_class_bound_check(config, lam, f, C_f, lattice, profile, *,
     )
 
 
-def dos_eta_grid_check(E, lattice, *, eta_grid=None, slack=10.0) -> BoundReport:
+def dos_eta_grid_check(E, lattice) -> BoundReport:
     """Shape check of the smoothed free density in eta: a single constant
-    calibrated at eta=1 must cover the whole grid under the (eta + 1/eta)
-    envelope, up to the stated slack."""
-    if eta_grid is None:
-        eta_grid = np.geomspace(1e-3, 1.0, 13)
+    calibrated at eta=1 must cover 13 etas from 1e-3 to 1 under the
+    (eta + 1/eta) envelope, up to a slack of 10."""
     c_meas = dos_density_order0(E, 1.0, lattice) / 2.0
     worst = 0.0
     worst_eta = None
-    for eta in eta_grid:
+    for eta in np.geomspace(1e-3, 1.0, 13):
         ratio = dos_density_order0(E, float(eta), lattice) / (
             c_meas * (eta + 1.0 / eta))
         if ratio > worst:
@@ -338,7 +343,7 @@ def dos_eta_grid_check(E, lattice, *, eta_grid=None, slack=10.0) -> BoundReport:
     return BoundReport(
         name="dos_eta_scaling",
         lhs=worst,
-        rhs=slack,
+        rhs=10.0,
         context={"E": E, "calibration_constant": c_meas,
                  "worst_eta": worst_eta},
     )

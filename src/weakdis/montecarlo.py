@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accum import chunk_ranges, fsum_c, fsum_r, run_ordered
+from ._accum import (chunk_ranges, fsum_c, fsum_r, gl_integrate, gl_nodes,
+                     run_ordered)
 from .coefficients import bhat_difference_table, psi_hat_vector, _pair_index
 from .errors import BudgetError, ConfigError
 from .lattice import (
@@ -403,44 +404,20 @@ def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
 # smoothed traces
 
 
-@lru_cache(maxsize=None)
-def _gl_nodes(a, b, panels, order=16):
-    """Composite Gauss-Legendre nodes/weights on [a, b]; cached, read-only."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    w = (half[:, None] * w0[None, :]).ravel()
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _conv_chi_cauchy(chi, eta, mu, a, b):
+    """(chi * gamma_eta)(mu) for an array of points, by ``gl_integrate``."""
+    return gl_integrate(
+        lambda x: (eta / np.pi) / ((mu[:, None] - x) ** 2 + eta**2) * chi(x),
+        np.linspace(a, b, 9), 1e-10)
 
 
-def _conv_chi_cauchy(chi, eta, mu, a, b, rtol=1e-10, max_panels=1024):
-    """(chi * gamma_eta)(mu) for an array of points, adaptive composite GL."""
-    mu = np.asarray(mu, dtype=float)
-    prev = None
-    panels = 8
-    while panels <= max_panels:
-        x, w = _gl_nodes(a, b, panels)
-        kern = (eta / np.pi) / ((mu[:, None] - x[None, :]) ** 2 + eta**2)
-        cur = kern @ (w * chi(x))
-        if prev is not None and np.max(np.abs(cur - prev)) <= rtol * max(
-                1.0, float(np.max(np.abs(cur)))):
-            return cur
-        prev = cur
-        panels *= 2
-    raise RuntimeError("smoothing convolution did not converge")
+def _trace_from_eigs(mu, chi, eta, volume, a, b) -> float:
+    return fsum_r(_conv_chi_cauchy(chi, eta, mu, a, b)) / volume
 
 
-def _trace_from_eigs(mu, chi, eta, volume, a, b, rtol=1e-10) -> float:
-    return fsum_r(_conv_chi_cauchy(chi, eta, mu, a, b, rtol)) / volume
-
-
-def _stone_from_eigs(mu, chi, eta, volume, a, b, n_nodes=2000) -> float:
-    order = 16
-    x, w = _gl_nodes(a, b, max(1, n_nodes // order), order)
+def _stone_from_eigs(mu, chi, eta, volume, a, b) -> float:
+    # a fixed rule of 125 panels (2000 nodes), independent of the route above
+    x, w = gl_nodes(tuple(np.linspace(a, b, 126).tolist()))
     dens = np.sum((eta / np.pi) / ((mu[:, None] - x[None, :]) ** 2 + eta**2),
                   axis=0)
     return fsum_r(w * chi(x) * dens) / volume

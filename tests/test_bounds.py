@@ -1,7 +1,9 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from weakdis import (
     BudgetError,
@@ -25,7 +27,9 @@ from weakdis.bounds import (
     _big_window_data,
     _ft_axis_abs,
     _weighted_square_sum,
+    ft_norm_l1,
 )
+from weakdis import cli
 from weakdis.lattice import int_box
 
 
@@ -144,6 +148,88 @@ def test_log_integral_bound(gauss_profile, bump_profile):
     assert rep.passed
     with pytest.raises(ConfigError):
         check_log_integral_bound(1.0, 2, 0.01, bump_profile)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_log_integral_lhs_matches_quad(d, gauss_profile):
+    # the default bounds grid, against quad split at the breakpoints
+    # |q| = sqrt(E); sigma = 1, so |f(q)| = exp(-pi |q|^2)
+    for E, eta in product((0.5, 1.0, 2.0), (1e-3, 1e-2, 0.1, 1.0)):
+        rep = check_log_integral_bound(E, d, eta, gauss_profile)
+        root = math.sqrt(E)
+        R = max(8.0, 2.0 * root + 2.0)
+        if d == 1:
+            ref = quad(lambda x: math.exp(-math.pi * x * x)
+                       / math.hypot(x * x - E, eta), -R, R,
+                       points=[-root, root], epsabs=1e-13, epsrel=1e-13,
+                       limit=400)[0]
+            ref += 2.0 * math.exp(-math.pi * R * R) * R / (R * R - E)
+        else:
+            ref = quad(lambda r: 2.0 * math.pi * r * math.exp(-math.pi * r * r)
+                       / math.hypot(r * r - E, eta), 0.0, R, points=[root],
+                       epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+        assert abs(rep.lhs - ref) <= 1e-12 * max(rep.lhs, rep.rhs), (E, eta)
+
+
+def test_bump_integrals_match_lobe_split_quad(bump_profile):
+    # |transform| has kinks at its zeros m / (2r), m >= 2
+    r = bump_profile.r
+    axis = _ft_axis_abs(bump_profile)
+    lobes = [0.0, 1.0 / r] + [m / (2.0 * r) for m in range(3, 801)]
+
+    def lobe_split(f, edges):
+        return math.fsum(quad(f, a, b, epsabs=1e-15, epsrel=1e-13,
+                              limit=100)[0] for a, b in zip(edges, edges[1:]))
+
+    R = lobes[-1]
+    ref = 2.0 * (lobe_split(lambda k: float(axis(k)), lobes)
+                 + 1.0 / (4.0 * r * R))
+    assert ft_norm_l1(bump_profile, 1) == pytest.approx(ref, rel=1e-9)
+    for E, eta in ((0.5, 1e-3), (2.0, 1e-3)):
+        rep = check_log_integral_bound(E, 1, eta, bump_profile)
+        edges = sorted(set(lobes) | {math.sqrt(E)})
+        ref = 2.0 * lobe_split(lambda k: float(axis(k))
+                               / math.hypot(k * k - E, eta), edges)
+        ref += 2.0 * float(axis(R)) * R / (R * R - E)
+        assert rep.lhs == pytest.approx(ref, rel=1e-9), (E, eta)
+
+
+def test_log_integral_sees_narrow_and_wide_transforms():
+    for d in (1, 2):
+        # sigma = 1e-6: a unit mass of width 6e-4 at q = 0
+        narrow = ProfileSpec(kind="gaussian", b0=1.0, sigma=1e-6)
+        rep = check_log_integral_bound(2.0, d, 1e-3, narrow)
+        assert rep.lhs == pytest.approx(1.0 / math.hypot(2.0, 1e-3),
+                                        rel=1e-6), d
+    # sigma = 1e6: the transform reaches R = 8000
+    wide = ProfileSpec(kind="gaussian", b0=1.0, sigma=1e6)
+    R = 8000.0
+    rep = check_log_integral_bound(1.0, 1, 1e-3, wide)
+    ref = 2.0 * quad(lambda x: math.exp(-math.pi * x * x / 1e6) / 1e3
+                     / math.hypot(x * x - 1.0, 1e-3), 0.0, R,
+                     points=[0.5, 1.0, 2.0, 8.0, 64.0, 512.0],
+                     epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+    ref += 2.0 * math.exp(-math.pi * R * R / 1e6) / 1e3 * R / (R * R - 1.0)
+    assert rep.lhs == pytest.approx(ref, rel=1e-9)
+
+
+def test_arctan_bound_sees_narrow_profiles():
+    # the bounds study passes the profile's peak and kinks: a bump of
+    # radius r integrates to r, which no node of one or two panels sees
+    model = {"d": 1, "L": 2.0, "K": 4,
+             "profile": {"kind": "cosine-bump", "b0": 1.0, "r": 0.02},
+             "weights": {"kind": "rademacher"}}
+    study = {"kind": "bounds", "E_grid": [1.0], "eta_grid": [0.1],
+             "L_grid": [1], "d_grid": [1]}
+    rep, = [r for r in cli._bound_rows({"model": model, "study": study})
+            if r.name == "arctan_bound"]
+    assert rep.lhs == pytest.approx(0.02, rel=1e-12)
+    bump = ProfileSpec(kind="cosine-bump", b0=1.0, r=1e-3)
+    rep = check_arctan_bound(bump.axis_value, -10.0, 10.0, (-1e-3, 0.0, 1e-3))
+    assert rep.lhs == pytest.approx(1e-3, rel=1e-12)
+    gauss = ProfileSpec(kind="gaussian", b0=1.0, sigma=1e6)
+    rep = check_arctan_bound(gauss.axis_value, -10.0, 10.0, (0.0,))
+    assert rep.lhs == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_arctan_bound_near_equality():

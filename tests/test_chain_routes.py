@@ -21,7 +21,8 @@ from weakdis import (
 from weakdis import coefficients as co
 from weakdis import montecarlo
 from weakdis import partitions as pt
-from weakdis.montecarlo import _difference_layout, _gl_nodes
+from weakdis._accum import gl_nodes
+from weakdis.montecarlo import _difference_layout
 
 from reference import box_chain_sum, is_crossing
 
@@ -170,11 +171,11 @@ def test_transfer_and_node_tables_are_cached_read_only(std_lattice,
     assert T[3, 11] == btab[co._diff_index(ints[3] - ints[11], std_lattice.K, 1)]
     # one pair index serves the transfer table and the potential matrices
     assert _difference_layout(std_lattice)[1] is co._pair_index(std_lattice)
-    x, w = _gl_nodes(0.5, 1.5, 8)
+    x, w = gl_nodes((0.5, 1.0, 1.5))
     for tab in (T, co._pair_index(std_lattice), x, w):
         assert not tab.flags.writeable
     assert co._transfer_table(std_lattice, btab.tobytes()) is T
-    assert _gl_nodes(0.5, 1.5, 8)[0] is x
+    assert gl_nodes((0.5, 1.0, 1.5))[0] is x
 
 
 def test_lattice_keyed_caches_are_bounded(gauss_profile):

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -182,9 +184,13 @@ MC_STUDY = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
     ({}, {"kind": "expand", "z": [["1", 0.3]]}, "study.z"),
     ({}, {"kind": "bounds", "d_grid": [1.5]}, "study.d_grid"),
     ({}, {"kind": "partitions", "bell_max": 8.5}, "study.bell_max"),
+    ({"L": "2"}, {"kind": "expand", "n_max": 1}, "model.L"),
+    ({}, dict(MC_STUDY, eta=math.nan), "study.eta"),
+    ({}, dict(MC_STUDY, lambdas=[0.1, math.nan]), "study.lambdas"),
 ], ids=["K-fraction", "d-bool", "lambdas-string", "lambdas-string-entry",
         "seed-fraction", "orders-fraction", "n_max-string", "z-string",
-        "d_grid-fraction", "bell_max-fraction"])
+        "d_grid-fraction", "bell_max-fraction", "L-string", "eta-nan",
+        "lambdas-nan-entry"])
 def test_exit_2_config_numbers_are_not_coerced(model, study, key, tmp_path,
                                                std_model_dict, capsys):
     # a fractional integer is not truncated, a string is not parsed; run
@@ -204,9 +210,22 @@ def test_config_number_helpers():
     for bad in (2.7, True, "2", None, math.inf, math.nan):
         with pytest.raises(ConfigError):
             _number(bad, "K", True)
+    for bad in ("0.3", None, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            _number(bad, "eta")
     for bad in ("abc", [0.1, "x"], [False], 0.1):
         with pytest.raises(ConfigError):
             _numbers(bad, "lambdas")
+
+
+def test_cli_import_loads_no_quadrature_or_solver_scipy():
+    # every study pays for what weakdis.cli imports; the decay check
+    # imports scipy.optimize where it runs
+    code = ("import sys, weakdis.cli; print(*(m for m in ('scipy.integrate', "
+            "'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_exit_3_budget(tmp_path, std_model_dict, run_cli):

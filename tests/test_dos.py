@@ -40,6 +40,14 @@ def test_chibump_shape():
     assert np.all(vals <= 1.0)
 
 
+def test_chibump_mass_is_its_integral():
+    for center, width in ((1.0, 0.5), (3.0, 0.25)):
+        chi = ChiBump(center=center, width=width)
+        ref, _ = quad(chi, *chi.support, points=[center], epsabs=1e-15,
+                      epsrel=1e-13, limit=200)
+        assert chi.mass == pytest.approx(ref, rel=1e-14)
+
+
 def test_order0_matches_closed_form(std_lattice, gauss_profile, rademacher):
     for E, eta in [(0.5, 0.3), (1.0, 0.3), (1.0, 0.05), (2.3, 1.0)]:
         direct = dos_coefficient_D(0, E, eta, std_lattice, gauss_profile,
@@ -106,6 +114,53 @@ def test_expansion_order0_matches_reference_quadrature(std_lattice,
     ref, _ = quad(lambda E: chi(E) * dos_density_order0(E, eta, std_lattice)
                   / math.pi, 0.5, 1.5, limit=200, epsabs=1e-13, epsrel=1e-13)
     assert total == pytest.approx(ref, abs=1e-10)
+
+
+def test_expansion_orders_match_quad(std_lattice, gauss_profile, rademacher):
+    # the shipped dos study's model and smoothing, orders 0 and 2 (order 1
+    # has no live partition under Rademacher weights)
+    from weakdis import dos, partitions
+    from weakdis.coefficients import bhat_difference_table
+
+    chi = ChiBump(center=1.0, width=0.5)
+    lam, eta = 0.05, 0.10573712634405642
+    _, rows, _ = dos_expansion(chi, lam, 0.5, 2, std_lattice, gauss_profile,
+                               rademacher, eta=eta)
+    btab = bhat_difference_table(gauss_profile, std_lattice)
+    for n in (0, 2):
+        live = partitions.live_partitions(n, rademacher)
+        ref = quad(lambda E: chi(E) * dos._dos_value(
+            n, live, E, eta, std_lattice, btab).real, 0.5, 1.5,
+            epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+        assert rows[n]["value"] == pytest.approx(
+            (-lam) ** n / math.pi * ref, rel=1e-12, abs=0.0), n
+
+
+def test_expansion_small_eta_grades_toward_lattice_energies(
+        std_lattice, gauss_profile, rademacher):
+    # eta = 1e-3: the order-0 integrand is a sum of width-eta peaks at the
+    # lattice energies, here nu = 1.125 inside chi's support
+    from weakdis.dos import _dos_edges
+
+    chi = ChiBump(center=1.0, width=0.5)
+    eta = 1e-3
+    nus = sorted({float(nu) for nu in std_lattice.nu_values
+                  if 0.5 < nu < 1.5})
+    assert nus == [1.125]
+    edges = _dos_edges(0.5, 1.5, eta, std_lattice.nu_values)
+    widths = np.diff(edges)
+    assert edges[0] == 0.5 and edges[-1] == 1.5
+    assert widths.min() > 0.0 and widths.max() <= 0.125
+    # panels eta wide at the peak only: 1000 would cover the support
+    assert len(widths) < 50
+    i = int(np.searchsorted(edges, 1.125)) - 1
+    assert widths[i] <= eta * (1.0 + 1e-12)
+    total, _, _ = dos_expansion(chi, 0.0, 0.5, 0, std_lattice, gauss_profile,
+                                rademacher, eta=eta)
+    ref, _ = quad(lambda E: chi(E) * dos_density_order0(E, eta, std_lattice)
+                  / math.pi, 0.5, 1.5, points=nus, limit=400, epsabs=1e-14,
+                  epsrel=1e-13)
+    assert total == pytest.approx(ref, rel=1e-12)
 
 
 def test_expansion_default_eta_coupling(std_lattice, gauss_profile,
