@@ -131,6 +131,7 @@ def const_C(E: float, d: int, L: float, eta: float,
 
 
 _BIG_WINDOW = {1: 4096, 2: 384, 3: 48}
+MAX_WINDOW_POINTS = 10_000_000  # kept; building peaks at ~40 B a point, d=2
 
 
 # one slot: the verification grids sweep (E, eta) with (d, L) fixed
@@ -151,6 +152,9 @@ def _big_window_data(profile: ProfileSpec, d: int, L: float, X: int,
     else:
         axis = _ft_axis_abs(profile)(q)
     keep = np.flatnonzero(axis)
+    if keep.size ** d > MAX_WINDOW_POINTS:
+        raise BudgetError(f"bound window at d={d}, L={L:g}: {keep.size ** d}"
+                          f" points over the budget {MAX_WINDOW_POINTS}")
     q, axis = q[keep], axis[keep]
     idx = np.indices((keep.size,) * d).reshape(d, -1).T
     nu = 0.5 * np.sum(q[idx] ** 2, axis=-1)

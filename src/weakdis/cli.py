@@ -1,6 +1,8 @@
 """Batch front end: config parsing, study orchestration, file output.
 
-One structured JSON config drives each study; unknown keys are errors.
+One structured JSON config drives each study.  It is checked once, when
+loaded, against one schema (``_CONFIG``: every block's keys with their
+types and defaults); unknown keys and ill-typed values are errors.
 Outputs are CSV tables (17 significant digits) and JSON reports (sorted
 keys, no timestamps), so identical configs produce byte-identical files
 at any thread count.
@@ -11,6 +13,7 @@ exceeded, 4 check failure in --check mode.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -33,39 +36,9 @@ from .lattice import (
 )
 from .report import BoundReport, holds
 
-STUDIES = ("expand", "mc-validate", "dos", "bounds", "scaling", "partitions")
-
-_MODEL_KEYS = {"d", "L", "K", "profile", "weights", "psi1", "psi2"}
-_PROFILE_KEYS = {"kind", "b0", "sigma", "r"}
-_WEIGHT_KEYS = {"kind", "moments"}
-_PSI_KEYS = {"x0", "a", "sigma"}
-_OUTPUT_KEYS = {"dir", "formats", "per_partition"}
-_CHI_KEYS = {"center", "width"}
-_STUDY_KEYS = {
-    "expand": {"kind", "n_max", "orders", "z", "budget"},
-    "mc-validate": {"kind", "n_keep", "eta", "E", "lambdas", "n_samples",
-                    "seed", "antithetic", "control_orders"},
-    "dos": {"kind", "lam", "eps", "eta", "order", "chi", "n_samples", "seed",
-            "check_routes"},
-    "bounds": {"kind", "E_grid", "eta_grid", "L_grid", "d_grid", "seed",
-               "truncated_transform"},
-    "scaling": {"kind", "n", "eps", "lambdas", "E"},
-    "partitions": {"kind", "n_max", "M_max", "bell_max"},
-}
-
-_STOCHASTIC = {"mc-validate", "dos"}
-
 
 def _fmt(x) -> str:
     return "%.17g" % float(x)
-
-
-def _require_keys(block: dict, allowed: set, where: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _number(value, where, integral=False):
@@ -86,80 +59,134 @@ def _numbers(value, where, integral=False) -> list:
     return [_number(v, where, integral) for v in value]
 
 
-def load_config(path: str) -> dict:
+_int = functools.partial(_number, integral=True)
+_ints = functools.partial(_numbers, integral=True)
+
+
+def _pairs(value, where):
+    """A config list of [Re z, Im z] pairs, each checked by ``_numbers``."""
+    if not isinstance(value, list) or any(len(_numbers(p, where)) != 2
+                                          for p in value):
+        raise ConfigError(f"{where} must be a list of [Re z, Im z] pairs")
+    return [_numbers(p, where) for p in value]
+
+
+# defaults that are not values: a _REQUIRED key must be given, an _ABSENT
+# one stays out of the block when it is not
+_REQUIRED = object()
+_ABSENT = object()
+
+
+def _typed(block, schema, where):
+    """block checked against schema (key -> (type, default)) and returned
+    with its defaults filled.  A type is a nested schema, a Python type the
+    JSON value must have (bool, str), or a checker (value, name) -> value.
+    Unknown keys, a missing required key and a value of the wrong type are
+    ConfigErrors; a typed block types to itself."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a mapping, got {block!r}")
+    unknown = set(block) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    out = {}
+    for key, (check, default) in schema.items():
+        name = f"{where}.{key}".removeprefix("config.")
+        value = block.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{name} is required")
+        if value is _ABSENT:
+            continue
+        if isinstance(check, dict):
+            value = _typed(value, check, name)
+        elif not isinstance(check, type):
+            value = check(value, name)
+        elif not isinstance(value, check):
+            raise ConfigError(
+                f"{name} must be a {check.__name__}, got {value!r}")
+        out[key] = value
+    return out
+
+
+# the config format: every block's keys, with their types and defaults
+_PSI = {"x0": (_numbers, _ABSENT), "a": (_numbers, _ABSENT),  # absent: 0
+        "sigma": (_number, 1.0)}
+_MODEL = {
+    "d": (_int, 1), "L": (_number, 2.0), "K": (_int, 8),
+    "profile": ({"kind": (str, "gaussian"), "b0": (_number, 1.0),
+                 "sigma": (_number, 1.0), "r": (_number, _ABSENT)}, {}),
+    "weights": ({"kind": (str, "rademacher"),
+                 "moments": (_numbers, _ABSENT)}, {}),
+    "psi1": (_PSI, {}), "psi2": (_PSI, {}),
+}
+_STUDY = {
+    "expand": {"n_max": (_int, 2), "orders": (_ints, _ABSENT),  # 0..n_max
+               "z": (_pairs, [[1.0, 0.3]]),
+               "budget": (_int, coeff.DEFAULT_TERM_BUDGET)},
+    "mc-validate": {
+        "n_keep": (_int, 2), "eta": (_number, 0.3), "E": (_number, 1.0),
+        "lambdas": (_numbers, [0.1, 0.05, 0.025]), "n_samples": (_int, 20000),
+        "seed": (_int, _REQUIRED), "antithetic": (bool, True),
+        "control_orders": (_ints, [1, 2, 3])},
+    "dos": {
+        "lam": (_number, 0.05), "eps": (_number, 0.5),
+        "eta": (lambda v, where: v if v is None else _number(v, where),
+                None),  # null: lam^(2 - eps)
+        "order": (_int, 2),
+        "chi": ({"center": (_number, 1.0), "width": (_number, 0.5)}, {}),
+        "n_samples": (_int, 400), "seed": (_int, _REQUIRED),
+        "check_routes": (bool, True)},
+    "bounds": {
+        "E_grid": (_numbers, [0.5, 1.0, 2.0]),
+        "eta_grid": (_numbers, [1e-3, 1e-2, 0.1, 1.0]),
+        "L_grid": (_numbers, [1, 2, 4, 8]), "d_grid": (_ints, [1, 2]),
+        "seed": (_int, 1), "truncated_transform": (bool, False)},
+    "scaling": {"n": (_int, 2), "eps": (_number, 0.5), "E": (_number, 1.0),
+                "lambdas": (_numbers, list(np.geomspace(1e-3, 1e-1, 9)))},
+    "partitions": {"n_max": (_int, 4), "M_max": (_int, 5),
+                   "bell_max": (_int, 10)},
+}
+STUDIES = tuple(_STUDY)
+
+
+def _study(block, where):
+    """A study block, typed by the schema of its kind."""
+    kind = block.get("kind") if isinstance(block, dict) else None
+    if kind not in STUDIES:
+        raise ConfigError(f"{where}.kind must be one of {STUDIES}")
+    return _typed(block, {"kind": (str, _REQUIRED), **_STUDY[kind]}, where)
+
+
+_CONFIG = {
+    "model": (_MODEL, _REQUIRED), "study": (_study, _REQUIRED),
+    "output": ({"dir": (str, "out"), "per_partition": (bool, False)}, {}),
+}
+
+
+def load_config(path: str, seed=None) -> dict:
+    """The config at path, typed by the schema.  seed, when given, is the
+    study's seed; a study without a seed key rejects it as unknown."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _require_keys(cfg, {"model", "study", "output"}, "config")
-    if "model" not in cfg or "study" not in cfg:
-        raise ConfigError("config needs 'model' and 'study' blocks")
-    _require_keys(cfg["model"], _MODEL_KEYS, "model")
-    study = cfg["study"]
-    kind = study.get("kind")
-    if kind not in STUDIES:
-        raise ConfigError(f"study.kind must be one of {STUDIES}")
-    _require_keys(study, _STUDY_KEYS[kind], f"study ({kind})")
-    _require_keys(cfg.get("output", {}), _OUTPUT_KEYS, "output")
-    if "profile" in cfg["model"]:
-        _require_keys(cfg["model"]["profile"], _PROFILE_KEYS, "model.profile")
-    if "weights" in cfg["model"]:
-        _require_keys(cfg["model"]["weights"], _WEIGHT_KEYS, "model.weights")
-    for psi_key in ("psi1", "psi2"):
-        if psi_key in cfg["model"]:
-            _require_keys(cfg["model"][psi_key], _PSI_KEYS, f"model.{psi_key}")
-    if kind == "dos" and "chi" in study:
-        _require_keys(study["chi"], _CHI_KEYS, "study.chi")
-    if kind in _STOCHASTIC and study.get("seed") is None:
-        raise ConfigError(f"study '{kind}' is stochastic: seed is mandatory")
-    return cfg
-
-
-def _build_profile(spec: dict) -> ProfileSpec:
-    kind = spec.get("kind", "gaussian")
-    b0 = _number(spec.get("b0", 1.0), "model.profile.b0")
-    if kind == "gaussian":
-        return ProfileSpec(kind="gaussian", b0=b0, sigma=_number(
-            spec.get("sigma", 1.0), "model.profile.sigma"))
-    if kind == "cosine-bump":
-        if "r" not in spec:
-            raise ConfigError("cosine-bump profile needs a radius r")
-        return ProfileSpec(kind="cosine-bump", b0=b0,
-                           r=_number(spec["r"], "model.profile.r"))
-    raise ConfigError(f"unknown profile kind {kind!r}")
-
-
-def _build_weights(spec: dict) -> pt.WeightDistribution:
-    kind = spec.get("kind", "rademacher")
-    if kind == "explicit-moments":
-        moments = spec.get("moments")
-        if not moments:
-            raise ConfigError("explicit-moments weight law needs a moments list")
-        return pt.WeightDistribution(kind=kind,
-                                     moments=tuple(float(m) for m in moments))
-    return pt.WeightDistribution(kind=kind)
-
-
-def _build_psi(spec: dict, d: int, where: str) -> Wavepacket:
-    x0 = tuple(_numbers(spec.get("x0", [0.0] * d), f"{where}.x0"))
-    a = tuple(_numbers(spec.get("a", [0.0] * d), f"{where}.a"))
-    return Wavepacket(x0=x0, a=a,
-                      sigma=_number(spec.get("sigma", 1.0), f"{where}.sigma"))
+    if seed is not None and isinstance(cfg, dict) and isinstance(
+            cfg.get("study"), dict):
+        cfg["study"]["seed"] = seed
+    return _typed(cfg, _CONFIG, "config")
 
 
 def build_model(model: dict):
-    d = _number(model.get("d", 1), "model.d", True)
-    L = _number(model.get("L", 2.0), "model.L")
-    K = _number(model.get("K", 8), "model.K", True)
-    lattice = build_lattice(d, L, K)
-    profile = _build_profile(model.get("profile", {}))
-    dist = _build_weights(model.get("weights", {}))
-    psi1 = _build_psi(model.get("psi1", {}), d, "model.psi1")
-    psi2 = _build_psi(model.get("psi2", {}), d, "model.psi2")
+    model = _typed(model, _MODEL, "model")
+    d = model["d"]
+    lattice = build_lattice(d, model["L"], model["K"])
+    origin = {"x0": [0.0] * d, "a": [0.0] * d}
+    psi1, psi2 = (Wavepacket(**dict(origin, **model[key]))
+                  for key in ("psi1", "psi2"))
     if psi1.d != d or psi2.d != d:
         raise ConfigError("wavepacket dimension does not match the model")
-    return lattice, profile, dist, psi1, psi2
+    return (lattice, ProfileSpec(**model["profile"]),
+            pt.WeightDistribution(**model["weights"]), psi1, psi2)
 
 
 def _model_meta(lattice, profile, dist) -> dict:
@@ -204,20 +231,12 @@ def _meta_cols(meta: dict):
 def cmd_expand(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
-    if "orders" in study:
-        orders = _numbers(study["orders"], "study.orders", True)
-    else:
-        orders = list(range(_number(study.get("n_max", 2), "study.n_max", True) + 1))
+    orders = (study["orders"] if "orders" in study
+              else list(range(study["n_max"] + 1)))
     if not orders or min(orders) < 0:
         raise ConfigError("expand needs at least one order, and no negative one")
-    pairs = study.get("z", [[1.0, 0.3]])
-    if not isinstance(pairs, list) or any(len(_numbers(p, "study.z")) != 2
-                                          for p in pairs):
-        raise ConfigError("study.z must be a list of [Re z, Im z] pairs")
-    zs = [complex(*p) for p in pairs]
-    budget = _number(study.get("budget", coeff.DEFAULT_TERM_BUDGET),
-                     "study.budget", True)
-    per_partition = bool(cfg.get("output", {}).get("per_partition", False))
+    zs = [complex(*p) for p in study["z"]]
+    per_partition = cfg["output"]["per_partition"]
 
     meta = _model_meta(lattice, profile, dist)
     mkeys, mvals = _meta_cols(meta)
@@ -227,7 +246,7 @@ def cmd_expand(cfg, out_dir, threads, check):
         for n in orders:
             res = coeff.coefficient_T(n, lattice, profile, dist, z, psi1,
                                       psi2, per_partition=per_partition,
-                                      budget=budget)
+                                      budget=study["budget"])
             tail = coeff.truncation_tail_bound(n, lattice, profile, dist, z,
                                                psi1, psi2)
             rows.append([str(n), _fmt(z.real), _fmt(z.imag),
@@ -273,15 +292,9 @@ def _fit_loglog(lams, values, sigmas):
 def cmd_mc_validate(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
-    n_keep = _number(study.get("n_keep", 2), "study.n_keep", True)
-    eta = _number(study.get("eta", 0.3), "study.eta")
-    E = _number(study.get("E", 1.0), "study.E")
-    lams = _numbers(study.get("lambdas", [0.1, 0.05, 0.025]), "study.lambdas")
-    n_samples = _number(study.get("n_samples", 20000), "study.n_samples", True)
-    seed = _number(study["seed"], "study.seed", True)
-    antithetic = bool(study.get("antithetic", True))
-    control_orders = _numbers(study.get("control_orders", [1, 2, 3]),
-                              "study.control_orders", True)
+    n_keep, eta, E = study["n_keep"], study["eta"], study["E"]
+    lams, n_samples, seed = study["lambdas"], study["n_samples"], study["seed"]
+    control_orders = study["control_orders"]
     z = complex(E, eta)
 
     max_order = max([n_keep] + control_orders)
@@ -300,7 +313,8 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
     all_bounded = True
     ests = mc.estimate_expectation(
         n_samples, lams, z, psi1, psi2, seed, lattice, profile, dist,
-        threads=threads, antithetic=antithetic, control_values=controls)
+        threads=threads, antithetic=study["antithetic"],
+        control_values=controls)
     for lam, est in zip(lams, ests):
         partial = sum((-lam) ** j * T[j] for j in range(n_keep + 1))
         residual = abs(est.mean - partial)
@@ -351,25 +365,17 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
 def cmd_dos(cfg, out_dir, threads, check):
     lattice, profile, dist, _, _ = build_model(cfg["model"])
     study = cfg["study"]
-    lam = _number(study.get("lam", 0.05), "study.lam")
-    eps = _number(study.get("eps", 0.5), "study.eps")
-    eta = study.get("eta")
-    eta = _number(eta, "study.eta") if eta is not None else None
-    order = _number(study.get("order", 2), "study.order", True)
+    lam, eps, order = study["lam"], study["eps"], study["order"]
     if order < 0:
         raise ConfigError("order must be nonnegative")
-    chi_spec = study.get("chi", {})
-    chi = dosmod.ChiBump(
-        center=_number(chi_spec.get("center", 1.0), "study.chi.center"),
-        width=_number(chi_spec.get("width", 0.5), "study.chi.width"))
-    n_samples = _number(study.get("n_samples", 400), "study.n_samples", True)
-    seed = _number(study["seed"], "study.seed", True)
-    check_routes = bool(study.get("check_routes", True))
+    chi = dosmod.ChiBump(**study["chi"])
+    n_samples, seed = study["n_samples"], study["seed"]
+    check_routes = study["check_routes"]
 
     # one integration up to the order beyond the kept sum: that order's row
     # is the empirical remainder scale (absent past the dimension cap)
     _, all_rows, meta_exp = dosmod.dos_expansion(
-        chi, lam, eps, order + 1, lattice, profile, dist, eta=eta)
+        chi, lam, eps, order + 1, lattice, profile, dist, eta=study["eta"])
     eta_used = meta_exp["eta"]
     rows = all_rows[:order + 1]
     total = math.fsum(row["value"] for row in rows)
@@ -379,11 +385,7 @@ def cmd_dos(cfg, out_dir, threads, check):
     mc_out = dosmod.dos_mc(chi, lam, eta_used, n_samples, seed, lattice,
                            profile, dist, threads=threads,
                            check_routes=check_routes)
-    route_diff = 0.0
-    if check_routes:
-        est, route_diff = mc_out
-    else:
-        est = mc_out
+    est, route_diff = mc_out if check_routes else (mc_out, 0.0)
 
     gap = abs(total - est.mean)
     tol = 3.0 * est.std_error + surrogate
@@ -426,27 +428,19 @@ def cmd_dos(cfg, out_dir, threads, check):
 def _bound_rows(cfg):
     """Every BoundReport of the bounds study, in output order."""
     lattice, profile, dist, _, _ = build_model(cfg["model"])
-    study = cfg["study"]
-    E_grid = _numbers(study.get("E_grid", [0.5, 1.0, 2.0]), "study.E_grid")
-    eta_grid = _numbers(study.get("eta_grid", [1e-3, 1e-2, 0.1, 1.0]),
-                        "study.eta_grid")
-    L_grid = _numbers(study.get("L_grid", [1, 2, 4, 8]), "study.L_grid")
-    d_grid = _numbers(study.get("d_grid", [1, 2]), "study.d_grid", True)
-    seed = _number(study.get("seed", 1), "study.seed", True)
+    study = _study(cfg["study"], "study")
+    E_grid, eta_grid = study["E_grid"], study["eta_grid"]
 
     spot = abs(bnd.const_C1(1.0, 1) - 4.0 * math.sqrt(2.0))
     reports = [BoundReport(name="const_C1_spot", lhs=spot, rhs=1e-12),
                fourier_decay_check(profile, lattice)]
 
-    truncated = bool(study.get("truncated_transform", False))
-    for d in d_grid:
-        for L in L_grid:
-            for E, eta in product(E_grid, eta_grid):
-                reports.append(bnd.check_resolvent_sum_bound(
-                    E, d, L, eta, profile, truncated=truncated))
-    log_ds = [d for d in d_grid if profile.kind == "gaussian" or d == 1]
-    for d in log_ds:
-        for E, eta in product(E_grid, eta_grid):
+    for d, L, E, eta in product(study["d_grid"], study["L_grid"], E_grid,
+                                eta_grid):
+        reports.append(bnd.check_resolvent_sum_bound(
+            E, d, L, eta, profile, truncated=study["truncated_transform"]))
+    for d, E, eta in product(study["d_grid"], E_grid, eta_grid):
+        if profile.kind == "gaussian" or d == 1:
             reports.append(bnd.check_log_integral_bound(E, d, eta, profile))
 
     # the axis factor peaks at 0; the bump's has kinks at +-r
@@ -455,7 +449,8 @@ def _bound_rows(cfg):
     reports.append(bnd.check_arctan_bound(profile.axis_value, -10.0, 10.0,
                                           points))
 
-    cfg_sample = mc.sample_config(lattice, dist, mc.rng_for(seed, 0))
+    cfg_sample = mc.sample_config(lattice, dist,
+                                  mc.rng_for(study["seed"], 0))
     reports.append(dosmod.trace_class_bound_check(
         cfg_sample, 0.5, lambda x: 1.0 / (1.0 + np.asarray(x) ** 2), 1.0,
         lattice, profile))
@@ -490,16 +485,12 @@ def cmd_bounds(cfg, out_dir, threads, check):
 def cmd_scaling(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
-    n = _number(study.get("n", 2), "study.n", True)
-    eps = _number(study.get("eps", 0.5), "study.eps")
-    E = _number(study.get("E", 1.0), "study.E")
-    lams = _numbers(study.get("lambdas", list(np.geomspace(1e-3, 1e-1, 9))),
-                    "study.lambdas")
+    n, eps, E = study["n"], study["eps"], study["E"]
 
     rows = []
     xs = []
     ys = []
-    for lam in lams:
+    for lam in study["lambdas"]:
         eta = lam ** (2.0 - eps)
         rhs = bnd.main_error_bound_rhs(n, lattice.d, E, eta, lam, profile,
                                        dist, psi1, psi2)
@@ -523,9 +514,7 @@ def cmd_scaling(cfg, out_dir, threads, check):
 
 def cmd_partitions(cfg, out_dir, threads, check):
     study = cfg["study"]
-    n_max = _number(study.get("n_max", 4), "study.n_max", True)
-    M_max = _number(study.get("M_max", 5), "study.M_max", True)
-    bell_max = _number(study.get("bell_max", 10), "study.bell_max", True)
+    n_max, M_max, bell_max = study["n_max"], study["M_max"], study["bell_max"]
     _, _, dist, _, _ = build_model(cfg["model"])
 
     rows = []
@@ -584,23 +573,21 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the study seed")
+                        help="the study seed, in place of the config's")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.seed)
         if cfg["study"]["kind"] != args.study:
             raise ConfigError(
                 f"config study.kind {cfg['study']['kind']!r} does not match "
                 f"command {args.study!r}")
-        if args.seed is not None:
-            cfg["study"]["seed"] = args.seed
         threads = args.threads
         if threads is None:
             threads = int(os.environ.get("ENGINE_THREADS", "1"))
         if threads < 1:
             raise ConfigError("thread count must be at least 1")
-        out_dir = args.out or cfg.get("output", {}).get("dir", "out")
+        out_dir = args.out or cfg["output"]["dir"]
         os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.study](cfg, out_dir, threads, args.check)
     except ConfigError as exc:

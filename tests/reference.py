@@ -3,8 +3,9 @@
 Each one computes its quantity another way than the engine does: a dense
 per-matrix LU solve, direct quadrature of a box-truncated Fourier integral,
 the realized potential's transform as an explicit sum over scatterers, the
-closed-form box norm of a wavepacket, and a partition's chain sum by
-enumerating the box of its free steps.
+closed-form box norm of a wavepacket, a partition's chain sum by
+enumerating the box of its free steps, and a weighted sup refined by
+Nelder-Mead.
 """
 
 import math
@@ -95,6 +96,32 @@ def box_norm_sq(psi: Wavepacket, L) -> float:
         # int exp(-pi s u^2) du over [x0-L/2, x0+L/2] shifted to the box
         total *= (erf(c * (L / 2 - x0j)) + erf(c * (L / 2 + x0j))) / (2 * math.sqrt(s))
     return total
+
+
+def nelder_mead_weighted_sup(profile: ProfileSpec, alpha, d) -> float:
+    """sup over x of (1+|x|^2)^d * |prod_j d^(alpha_j) B_j(x_j)|: the grid
+    maximum of ``lattice._weighted_sup``, refined by Nelder-Mead."""
+    from scipy.optimize import minimize
+
+    W = profile.support_radius() + 2.0 * d
+    axes = [np.linspace(-W, W, {1: 4001, 2: 201, 3: 41}[d])] * d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    vals = abs(profile.b0) * (1.0 + sum(m * m for m in mesh)) ** d
+    for j in range(d):
+        vals = vals * np.abs(profile.axis_derivative(mesh[j], alpha[j]))
+    idx = np.unravel_index(np.argmax(vals), vals.shape)
+    x0 = np.array([axes[j][idx[j]] for j in range(d)])
+
+    def neg(x):
+        v = abs(profile.b0) * (1.0 + float(np.dot(x, x))) ** d
+        for j in range(d):
+            v *= abs(float(profile.axis_derivative(np.array([x[j]]),
+                                                   alpha[j])[0]))
+        return -v
+
+    res = minimize(neg, x0, method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+    return max(float(vals.max()), -res.fun)
 
 
 def is_crossing(A: SetPartition) -> bool:

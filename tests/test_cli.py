@@ -171,6 +171,12 @@ def test_exit_2_bad_thread_env(tmp_path, std_model_dict, run_cli):
 
 MC_STUDY = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
             "lambdas": [0.1, 0.05], "n_samples": 32, "seed": 9}
+DOS_STUDY = {"kind": "dos", "lam": 0.05, "eps": 0.5, "eta": 0.1, "order": 1,
+             "n_samples": 16, "seed": 5}
+
+
+def _moments_law(moments):
+    return {"weights": {"kind": "explicit-moments", "moments": moments}}
 
 
 @pytest.mark.parametrize("model, study, key", [
@@ -187,19 +193,69 @@ MC_STUDY = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
     ({"L": "2"}, {"kind": "expand", "n_max": 1}, "model.L"),
     ({}, dict(MC_STUDY, eta=math.nan), "study.eta"),
     ({}, dict(MC_STUDY, lambdas=[0.1, math.nan]), "study.lambdas"),
+    ({}, dict(MC_STUDY, antithetic="false"), "study.antithetic"),
+    (_moments_law(["x"]), {"kind": "expand", "n_max": 1},
+     "model.weights.moments"),
+    (_moments_law([math.nan]), {"kind": "expand", "n_max": 1},
+     "model.weights.moments"),
+    ({}, {"kind": "dos", "seed": 5, "chi": 3}, "study.chi"),
 ], ids=["K-fraction", "d-bool", "lambdas-string", "lambdas-string-entry",
         "seed-fraction", "orders-fraction", "n_max-string", "z-string",
         "d_grid-fraction", "bell_max-fraction", "L-string", "eta-nan",
-        "lambdas-nan-entry"])
+        "lambdas-nan-entry", "antithetic-string", "moments-string",
+        "moments-nan", "chi-not-a-mapping"])
 def test_exit_2_config_numbers_are_not_coerced(model, study, key, tmp_path,
                                                std_model_dict, capsys):
-    # a fractional integer is not truncated, a string is not parsed; run
-    # in-process, since each case stops at its config check
+    # a fractional integer is not truncated, a string is not parsed, a
+    # string is no bool; run in-process, since each case stops at its
+    # config check
     cfg = write_config(tmp_path / "c.json", dict(std_model_dict, **model),
                        study)
     code = cli.main([study["kind"], "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
     assert code == 2 and key in capsys.readouterr().err
+
+
+def test_exit_2_study_block_not_a_mapping(tmp_path, std_model_dict, capsys):
+    cfg = write_config(tmp_path / "c.json", std_model_dict, 3)
+    code = cli.main(["expand", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2 and "study" in capsys.readouterr().err
+
+
+def test_exit_2_removed_output_formats(tmp_path, std_model_dict, capsys):
+    # output.formats was accepted and never read
+    cfg = write_config(tmp_path / "c.json", std_model_dict,
+                       {"kind": "expand", "n_max": 1},
+                       output={"formats": ["csv"]})
+    code = cli.main(["expand", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2 and "formats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("study", [MC_STUDY, DOS_STUDY],
+                         ids=["mc-validate", "dos"])
+def test_seed_flag_stands_in_for_a_missing_seed(study, tmp_path,
+                                                std_model_dict):
+    seeded = write_config(tmp_path / "s.json", std_model_dict, study)
+    unseeded = write_config(
+        tmp_path / "u.json", std_model_dict,
+        {k: v for k, v in study.items() if k != "seed"})
+    kind, seed = study["kind"], str(study["seed"])
+    assert cli.main([kind, "--config", str(seeded), "--out",
+                     str(tmp_path / "a")]) == 0
+    assert cli.main([kind, "--config", str(unseeded), "--out",
+                     str(tmp_path / "b"), "--seed", seed]) == 0
+    assert read_outputs(tmp_path / "a") == read_outputs(tmp_path / "b")
+
+
+def test_exit_2_seed_flag_on_a_study_without_seed(tmp_path, std_model_dict,
+                                                  capsys):
+    cfg = write_config(tmp_path / "c.json", std_model_dict,
+                       {"kind": "expand", "n_max": 1})
+    code = cli.main(["expand", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--seed", "3"])
+    assert code == 2 and "seed" in capsys.readouterr().err
 
 
 def test_config_number_helpers():
@@ -219,8 +275,7 @@ def test_config_number_helpers():
 
 
 def test_cli_import_loads_no_quadrature_or_solver_scipy():
-    # every study pays for what weakdis.cli imports; the decay check
-    # imports scipy.optimize where it runs
+    # every study pays for what weakdis.cli imports
     code = ("import sys, weakdis.cli; print(*(m for m in ('scipy.integrate', "
             "'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -232,6 +287,17 @@ def test_exit_3_budget(tmp_path, std_model_dict, run_cli):
     cfg = write_config(tmp_path / "c.json", std_model_dict,
                        {"kind": "expand", "n_max": 3, "budget": 10})
     assert run_cli("expand", cfg, tmp_path / "o").returncode == 3
+
+
+def test_exit_3_bound_window_budget(tmp_path, std_model_dict, capsys):
+    # the box-truncated transform has no zeros to leave out, so its d = 2,
+    # L = 8 window would hold 3.8e7 points
+    study = {"kind": "bounds", "E_grid": [1.0], "eta_grid": [0.1],
+             "L_grid": [8], "d_grid": [2], "truncated_transform": True}
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    code = cli.main(["bounds", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 3 and "bound window" in capsys.readouterr().err
 
 
 def test_exit_4_check_failure(tmp_path, std_model_dict, run_cli):

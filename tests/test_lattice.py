@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,9 +19,9 @@ from weakdis import (
     profile_periodized_value,
     wavepacket_fourier_periodized,
 )
-from weakdis.lattice import _int_grid, int_box
+from weakdis.lattice import _int_grid, _weighted_sup, int_box
 
-from reference import box_norm_sq, fourier_quad_axis
+from reference import box_norm_sq, fourier_quad_axis, nelder_mead_weighted_sup
 
 
 def test_lattice_point_count():
@@ -152,6 +155,27 @@ def test_fourier_decay_check_gaussian(gauss_profile, std_lattice):
 def test_fourier_decay_check_bump(bump_profile, std_lattice):
     rep = fourier_decay_check(bump_profile, std_lattice)
     assert rep.passed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zoom_sup_matches_nelder_mead(d, gauss_profile, bump_profile):
+    for profile, alpha in product([gauss_profile, bump_profile],
+                                  product(range(3), repeat=d)):
+        assert _weighted_sup(profile, alpha, d) == pytest.approx(
+            nelder_mead_weighted_sup(profile, alpha, d), rel=1e-13, abs=0)
+
+
+def test_fourier_decay_check_loads_no_optimizer():
+    # the bounds study runs the decay check; its sups need no scipy.optimize
+    code = ("import sys\n"
+            "from weakdis import ProfileSpec, build_lattice\n"
+            "from weakdis.lattice import fourier_decay_check\n"
+            "fourier_decay_check(ProfileSpec(kind='cosine-bump', r=0.5), "
+            "build_lattice(2, 2.0, 2))\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_profile_validation():
