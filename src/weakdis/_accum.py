@@ -26,6 +26,14 @@ def fsum_c(values) -> complex:
     return complex(math.fsum(flat.real.tolist()), math.fsum(flat.imag.tolist()))
 
 
+def fsum_rows(values, divisor) -> np.ndarray:
+    """Every row's (last axis) fsum_c(row) / divisor, in one tolist."""
+    flat = np.asarray(values, dtype=complex).reshape(-1, np.shape(values)[-1])
+    return np.array([complex(math.fsum(re), math.fsum(im)) / divisor for re, im
+                     in zip(flat.real.tolist(), flat.imag.tolist())],
+                    dtype=complex).reshape(np.shape(values)[:-1])
+
+
 def chunk_ranges(n, size):
     """Split range(n) into consecutive (start, stop) chunks of fixed size."""
     size = max(1, int(size))

@@ -134,6 +134,13 @@ _BIG_WINDOW = {1: 4096, 2: 384, 3: 48}
 MAX_WINDOW_POINTS = 10_000_000  # kept; building peaks at ~40 B a point, d=2
 
 
+def _check_window(points: int, d: int, L: float):
+    """BudgetError, before it is built, for a window over the budget."""
+    if points > MAX_WINDOW_POINTS:
+        raise BudgetError(f"bound window at d={d}, L={L:g}: {points}"
+                          f" points over the budget {MAX_WINDOW_POINTS}")
+
+
 # one slot: the verification grids sweep (E, eta) with (d, L) fixed
 @lru_cache(maxsize=1)
 def _big_window_data(profile: ProfileSpec, d: int, L: float, X: int,
@@ -145,6 +152,7 @@ def _big_window_data(profile: ProfileSpec, d: int, L: float, X: int,
     a zero axis factor adds an exact +0.0 to every window sum and is left
     out: a full-space Gaussian keeps only |m_j| / L below its underflow
     point."""
+    _check_window(2 * X + 1, d, L)
     q = np.arange(-X, X + 1) / L
     if truncated:
         axis = np.abs(profile_fourier_periodized(replace(profile, b0=1.0),
@@ -152,9 +160,7 @@ def _big_window_data(profile: ProfileSpec, d: int, L: float, X: int,
     else:
         axis = _ft_axis_abs(profile)(q)
     keep = np.flatnonzero(axis)
-    if keep.size ** d > MAX_WINDOW_POINTS:
-        raise BudgetError(f"bound window at d={d}, L={L:g}: {keep.size ** d}"
-                          f" points over the budget {MAX_WINDOW_POINTS}")
+    _check_window(keep.size ** d, d, L)
     q, axis = q[keep], axis[keep]
     idx = np.indices((keep.size,) * d).reshape(d, -1).T
     nu = 0.5 * np.sum(q[idx] ** 2, axis=-1)
@@ -281,6 +287,7 @@ def check_arctan_bound(f, a: float, b: float, points=()) -> BoundReport:
 def _weighted_square_sum(E, tau, eta, d, L, X):
     """(1/L^d) sum over ||m||_inf <= X of <a>^tau / |a^2-E-i eta|^2 plus an
     integral-comparison remainder for the rest of the dual lattice."""
+    _check_window((2 * X + 1) ** d, d, L)
     side2 = np.arange(-X, X + 1) ** 2
     # exact integer |m|^2 on the window, first coordinate on axis 0
     msq = sum(side2.reshape((-1,) + (1,) * (d - 1 - j)) for j in range(d))

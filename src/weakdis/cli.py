@@ -295,6 +295,10 @@ def cmd_mc_validate(cfg, out_dir, threads, check):
     n_keep, eta, E = study["n_keep"], study["eta"], study["E"]
     lams, n_samples, seed = study["lambdas"], study["n_samples"], study["seed"]
     control_orders = study["control_orders"]
+    if n_keep < 0 or not all(1 <= j <= 4 for j in control_orders):
+        raise ConfigError("n_keep must be >= 0 and every control order in 1..4")
+    if check and len({lam for lam in lams if lam > 0}) < 2:
+        raise ConfigError("--check needs two distinct positive lambdas")
     z = complex(E, eta)
 
     max_order = max([n_keep] + control_orders)

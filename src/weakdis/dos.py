@@ -274,22 +274,22 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
     nu_c = lattice.nu_values.astype(complex)
     volume = lattice.volume
 
-    def traces(Vs):
-        mus = np.linalg.eigvalsh(_hamiltonians(nu_c, (lam,), Vs)[:, 0])
+    def traces(count, live, W):
+        mus = np.linalg.eigvalsh(
+            _hamiltonians(nu_c, (lam,), count, live, W)[:, 0])
         return [(_trace_from_eigs(mu, chi, eta, volume, a, b),
                  _stone_from_eigs(mu, chi, eta, volume, a, b)
-                 if check_routes else None) for mu in mus]
+                 if check_routes else 0.0) for mu in mus]
 
-    pairs = map_realizations(n_samples, seed, lattice, profile, dist, traces,
-                             threads)
-    units = [val for val, _ in pairs]
+    units, stone = map_realizations(n_samples, seed, lattice, profile, dist,
+                                    traces, threads).T
     mean = fsum_r(units) / n_samples
     result = EstimatorResult(mean=mean, std_error=_se_complex(units, mean),
                              n_samples=n_samples, seed=seed)
     if not check_routes:
         return result
     # np.max keeps a NaN difference instead of dropping it
-    return result, float(np.max(np.abs([val - st for val, st in pairs])))
+    return result, float(np.max(np.abs(units - stone)))
 
 
 # ---------------------------------------------------------------------------

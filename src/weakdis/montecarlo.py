@@ -8,7 +8,8 @@ combinatorial expansion coefficients.
 Reproducibility contract: every sample index owns a counter-based RNG
 stream keyed by (seed, index), and reductions run in index order with
 exact accumulation, so results are bit-identical for any worker count.
-Every sampler (here and in ``dos``) draws through ``map_realizations``.
+Every sampler (here and in ``dos``) draws through ``map_realizations``, in
+chunks of arrays that keep the bits of one realization at a time.
 """
 
 import math
@@ -17,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accum import (chunk_ranges, fsum_c, fsum_r, gl_integrate, gl_nodes,
-                     run_ordered)
+from ._accum import (chunk_ranges, fsum_c, fsum_r, fsum_rows, gl_integrate,
+                     gl_nodes, run_ordered)
 from .coefficients import bhat_difference_table, psi_hat_vector, _pair_index
 from .errors import BudgetError, ConfigError
 from .lattice import (
@@ -80,6 +81,16 @@ def rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
+def _rekey(rng, seed: int, index: int) -> np.random.Generator:
+    """rng (Philox) reset to draw what rng_for(seed, index) draws, with no
+    new generator and its OS entropy draw."""
+    zeros = np.zeros(4, np.uint64)
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {
+        "counter": zeros, "key": np.array([seed, index], np.uint64)},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def _draw_poisson(rng, mean: float) -> int:
     if mean < 0:
         raise ConfigError("Poisson mean must be nonnegative")
@@ -127,18 +138,25 @@ def _difference_layout(lattice: MomentumLattice):
     return _phase_points(lattice), _pair_index(lattice)
 
 
-def potential_matrix(config: PoissonConfig, lattice: MomentumLattice,
+def potential_matrix(config, lattice: MomentumLattice,
                      profile: ProfileSpec) -> np.ndarray:
-    """Coupling-free potential matrix V_{pq} = V_hat(p-q) / L^d."""
+    """Coupling-free potential matrix V_{pq} = V_hat(p-q) / L^d; for a list of
+    configurations, their C-contiguous stack (one exp, a k . y matmul each)."""
+    configs = config if isinstance(config, list) else [config]
     btab = bhat_difference_table(profile, lattice)
     pts, didx = _difference_layout(lattice)
     # sum_gamma v_gamma exp(-2 pi i k . y_gamma) on the difference window
-    if config.M == 0:
-        S = np.zeros(pts.shape[0], dtype=complex)
-    else:
-        S = np.exp(-2j * np.pi * (pts @ config.positions.T)) @ config.weights
-    vdiff = (btab * S) / lattice.volume
-    return vdiff[didx]
+    S = np.zeros((len(configs), pts.shape[0]), dtype=complex)
+    live = [(k, c) for k, c in enumerate(configs) if c.M]
+    if live:
+        phase = np.exp(-2j * np.pi * np.concatenate(
+            [pts @ c.positions.T for _, c in live], axis=1))
+        end = 0
+        for k, c in live:
+            end += c.M
+            S[k] = np.ascontiguousarray(phase[:, end - c.M:end]) @ c.weights
+    W = np.take((btab * S) / lattice.volume, didx, axis=1)
+    return W if isinstance(config, list) else W[0]
 
 
 def _check_matrix(lattice: MomentumLattice, lam: float = 0.0):
@@ -150,18 +168,15 @@ def _check_matrix(lattice: MomentumLattice, lam: float = 0.0):
             f"matrix dimension {lattice.size} over budget {MAX_MATRIX_DIM}")
 
 
-def _hamiltonians(nu_c: np.ndarray, coefs, Vs) -> np.ndarray:
-    """diag(nu) + c * V for every potential matrix V of a chunk and every
-    coupling c, as one (len(Vs), len(coefs), N, N) array.  V is None for a
-    realization without scatterers; it and c == 0 leave diag(nu)."""
+def _hamiltonians(nu_c: np.ndarray, coefs, count, live, W) -> np.ndarray:
+    """diag(nu) + c * V for every realization of a chunk of count and every
+    coupling c, as one (count, len(coefs), N, N) array.  W stacks the
+    potential matrices of the realizations live (those with scatterers);
+    the others leave diag(nu), which D + 0 * V equals bit for bit."""
     D = np.diag(nu_c)
-    H = np.tile(D, (len(Vs), len(coefs), 1, 1))
-    live = [i for i, V in enumerate(Vs) if V is not None]
-    if live:
-        W = np.stack([Vs[i] for i in live])
-        for k, c in enumerate(coefs):
-            if c != 0.0:
-                H[live, k] = D + c * W
+    H = np.tile(D, (count, len(coefs), 1, 1))
+    for k, c in enumerate(coefs):
+        H[live, k] = D + c * W
     return H
 
 
@@ -170,12 +185,10 @@ def assemble_hamiltonian(config: PoissonConfig, lam: float,
                          profile: ProfileSpec) -> HamiltonianMatrix:
     """H = diag(nu) + lam * V_hat(p-q)/L^d on the truncated window."""
     _check_matrix(lattice, lam)
-    V = (potential_matrix(config, lattice, profile)
-         if lam != 0.0 and config.M else None)
     return HamiltonianMatrix(
         dim=lattice.size, lattice=lattice,
-        entries=_hamiltonians(lattice.nu_values.astype(complex), (lam,),
-                              [V])[0, 0])
+        entries=np.diag(lattice.nu_values.astype(complex))
+        + lam * potential_matrix(config, lattice, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +204,16 @@ def _as_hat(psi, lattice):
     return vec
 
 
-def _chain_terms(V, r0, p1, p2, top, volume) -> list:
-    """t_j = <psi1, R0 (V R0)^j psi2> for j = 0..top on one realization, in
+def _chain_terms(V, r0, p1, p2, top, volume) -> np.ndarray:
+    """t_j = <psi1, R0 (V R0)^j psi2> for j = 0..top on the last axis, for
+    one potential matrix V or a C-contiguous stack (..., N, N) of them, in
     one pass: each order extends the operator string of the one before.
     r0 is the free resolvent diagonal 1/(nu - z)."""
-    x = r0 * p2
-    t = [fsum_c(np.conj(p1) * x) / volume]
+    xs = [r0 * p2]
     for _ in range(top):
-        x = r0 * (V @ x)
-        t.append(fsum_c(np.conj(p1) * x) / volume)
-    return t
+        xs.append(r0 * np.matmul(V, xs[-1][..., None])[..., 0])
+    return fsum_rows(np.conj(p1) * np.stack(np.broadcast_arrays(*xs), -2),
+                     volume)
 
 
 def neumann_identity_check(config, lam, z, n, lattice, profile, psi2,
@@ -216,9 +229,8 @@ def neumann_identity_check(config, lam, z, n, lattice, profile, psi2,
     dist_to_spectrum(z)
     _check_matrix(lattice, lam)
     nu = lattice.nu_values
-    Vmat = potential_matrix(config, lattice, profile) if config.M else np.zeros(
-        (lattice.size, lattice.size), dtype=complex)
-    H = _hamiltonians(nu.astype(complex), (lam,), [Vmat])[0, 0]
+    Vmat = potential_matrix(config, lattice, profile)
+    H = np.diag(nu.astype(complex)) + lam * Vmat
     p2 = _as_hat(psi2, lattice)
     r0 = 1.0 / (nu - z)
 
@@ -237,7 +249,7 @@ def neumann_identity_check(config, lam, z, n, lattice, profile, psi2,
     scale = max(np.linalg.norm(p2), 1e-300)
     residual = np.linalg.norm(full - partial - rem) / scale
     eta = dist_to_spectrum(z)
-    vnorm = np.linalg.norm(Vmat, 2) if config.M else 0.0
+    vnorm = np.linalg.norm(Vmat, 2)
     rem_bound = (lam * vnorm / eta) ** (n + 1) / eta * np.linalg.norm(p2)
     return BoundReport(
         name="neumann_identity",
@@ -268,26 +280,29 @@ def _se_complex(units, mean):
 
 
 def map_realizations(n_units, seed, lattice, profile, dist, fn, threads=1,
-                     systems=1):
-    """The Monte-Carlo realization pipeline, one result per realization in
-    index order.  Realization i is drawn from the stream (seed, i); fn maps
-    a chunk's list of potential matrices V_i (None without scatterers) to
-    one result each.  A chunk's (chunk, systems, N, N) stack stays near
-    CHUNK_BYTES whatever the thread count; threads run whole chunks."""
+                     systems=1) -> np.ndarray:
+    """The Monte-Carlo realization pipeline: one result row per realization,
+    in index order, as one array.  Realization i is drawn from the stream
+    (seed, i), by one generator per chunk re-keyed to each (seed, i).
+    fn(count, live, W) maps a chunk of count realizations to count rows:
+    live lists the realizations with scatterers, W is their C-contiguous
+    (len(live), N, N) potential stack.  A chunk's (count, systems, N, N)
+    stack stays near CHUNK_BYTES whatever the thread count; threads run
+    whole chunks."""
     _check_matrix(lattice)
     size = max(1, CHUNK_BYTES // (16 * systems * lattice.size**2))
 
     def work(lo, hi):
-        Vs = []
-        for i in range(lo, hi):
-            cfg = sample_config(lattice, dist, rng_for(seed, i))
-            Vs.append(potential_matrix(cfg, lattice, profile)
-                      if cfg.M else None)
-        return fn(Vs)
+        rng = rng_for(seed, lo)
+        cfgs = [sample_config(lattice, dist, _rekey(rng, seed, i))
+                for i in range(lo, hi)]
+        live = [k for k, cfg in enumerate(cfgs) if cfg.M]
+        return fn(hi - lo, live,
+                  potential_matrix([cfgs[k] for k in live], lattice, profile))
 
-    parts = run_ordered([lambda lo=lo, hi=hi: work(lo, hi)
-                         for lo, hi in chunk_ranges(n_units, size)], threads)
-    return [r for part in parts for r in part]
+    return np.concatenate(run_ordered(
+        [lambda lo=lo, hi=hi: work(lo, hi)
+         for lo, hi in chunk_ranges(n_units, size)], threads))
 
 
 def _result(units, n_samples, seed) -> EstimatorResult:
@@ -312,13 +327,14 @@ def estimate_partial_term(n, n_samples, z, psi1, psi2, seed, lattice, profile,
 
     if n == 0:
         # no randomness in the string: exact, zero variance
-        val = _chain_terms(None, r0, p1, p2, 0, volume)[0]
+        val = complex(_chain_terms(None, r0, p1, p2, 0, volume)[0])
         return EstimatorResult(mean=val, std_error=0.0, n_samples=n_samples,
                                seed=seed)
 
-    def chunk(Vs):
-        return [0.0 + 0.0j if V is None
-                else _chain_terms(V, r0, p1, p2, n, volume)[n] for V in Vs]
+    def chunk(count, live, W):
+        t = np.zeros(count, dtype=complex)
+        t[live] = _chain_terms(W, r0, p1, p2, n, volume)[:, n]
+        return t
 
     units = map_realizations(n_samples, seed, lattice, profile, dist, chunk,
                              threads)
@@ -368,51 +384,41 @@ def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
     signs = (1, -1) if antithetic else (1,)
     members = [(lam, sign) for lam in lams for sign in signs]
     coefs = [sign * lam for lam, sign in members]
+    # per control order: every member's sign^j (the flip) and (-lam)^j
+    powers = {j: np.array([(sign**j, (-lam) ** j) for lam, sign in members]).T
+              for j in orders}
 
-    def member(x, V, t, lam, sign):
-        """One realization's controlled value; sign flips the weights."""
-        val = fsum_c(np.conj(p1) * x) / volume
-        for j in orders:
-            tj = 0.0 if V is None else sign**j * t[j]
-            val -= (-lam) ** j * (tj - controls[j])
-        return val
-
-    def chunk(Vs):
-        """Every coupling and sign of a chunk in one stacked solve."""
-        A = _hamiltonians(nu_c, coefs, Vs)
+    def chunk(count, live, W):
+        """Every coupling and sign of a chunk in one stacked solve, then the
+        controls and the pair mean as array operations in scalar order."""
+        A = _hamiltonians(nu_c, coefs, count, live, W)
         A -= z_eye
         if not (np.isfinite(A).all() and np.isfinite(p2).all()):
             raise ValueError("array must not contain infs or NaNs")
         X = np.linalg.solve(A, p2[:, None])[..., 0]
-        units = []
-        for V, xs in zip(Vs, X):
-            t = (_chain_terms(V, r0, p1, p2, orders[-1], volume)
-                 if V is not None and orders else None)
-            vals = [member(x, V, t, *m) for x, m in zip(xs, members)]
-            units.append([0.5 * (a + b) for a, b in zip(vals[::2], vals[1::2])]
-                         if antithetic else vals)
-        return units
+        vals = fsum_rows(np.conj(p1) * X, volume)
+        t = _chain_terms(W, r0, p1, p2, orders[-1], volume) if orders else None
+        for j in orders:
+            tj = np.zeros_like(vals)  # 0 without scatterers
+            tj[live] = t[:, j, None] * powers[j][0]
+            vals -= powers[j][1] * (tj - controls[j])
+        return 0.5 * (vals[:, ::2] + vals[:, 1::2]) if antithetic else vals
 
     n_units = n_samples // 2 if antithetic else n_samples
     units = map_realizations(n_units, seed, lattice, profile, dist, chunk,
                              threads, len(coefs))
-    return [_result([u[k] for u in units], n_samples, seed)
-            for k in range(len(lams))]
+    return [_result(units[:, k], n_samples, seed) for k in range(len(lams))]
 
 
 # ---------------------------------------------------------------------------
 # smoothed traces
 
 
-def _conv_chi_cauchy(chi, eta, mu, a, b):
-    """(chi * gamma_eta)(mu) for an array of points, by ``gl_integrate``."""
-    return gl_integrate(
-        lambda x: (eta / np.pi) / ((mu[:, None] - x) ** 2 + eta**2) * chi(x),
-        np.linspace(a, b, 9), 1e-10)
-
-
 def _trace_from_eigs(mu, chi, eta, volume, a, b) -> float:
-    return fsum_r(_conv_chi_cauchy(chi, eta, mu, a, b)) / volume
+    """The sum over mu of (chi * gamma_eta)(mu), by ``gl_integrate``, / volume."""
+    return fsum_r(gl_integrate(
+        lambda x: (eta / np.pi) / ((mu[:, None] - x) ** 2 + eta**2) * chi(x),
+        np.linspace(a, b, 9), 1e-10)) / volume
 
 
 def _stone_from_eigs(mu, chi, eta, volume, a, b) -> float:

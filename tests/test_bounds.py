@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +261,35 @@ def test_weighted_resolvent_sum(std_lattice):
     # box-size sweep stays bounded too
     vals = list(rep.context["by_L"].values())
     assert max(vals) / min(vals) <= rep.rhs
+
+
+def test_bound_windows_budgeted_before_they_allocate():
+    # X grows with L: at L = 1e6 either window's side alone is 2e9 or 8e9
+    # points.  A child process under a 1 GiB address-space cap must see
+    # BudgetError before any np.arange over the side, not a MemoryError.
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from weakdis import BudgetError, ProfileSpec, build_lattice\n"
+        "from weakdis import bounds\n"
+        "gauss = ProfileSpec(kind='gaussian', b0=1.0, sigma=1.0)\n"
+        "for check in (lambda: bounds.check_weighted_resolvent_sum(\n"
+        "                  1.0, 0.0, 1e-3, build_lattice(1, 1e6, 1)),\n"
+        "              lambda: bounds.check_resolvent_sum_bound(\n"
+        "                  1.0, 1, 1e6, 0.1, gauss)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except BudgetError as exc:\n"
+        "        print(exc)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all("d=1, L=1e+06" in ln for ln in lines)
 
 
 def test_weighted_resolvent_sum_validation(std_lattice):

@@ -324,17 +324,51 @@ def _strict_json(text):
 
 def test_mc_validate_single_lambda_check_fails(tmp_path, std_model_dict,
                                                run_cli):
-    # one lambda leaves the log-log fit undefined; --check must not pass it
+    # one lambda leaves the log-log fit undefined: --check rejects the
+    # config before sampling, and a run without --check writes null
     study = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
              "lambdas": [0.1], "n_samples": 32, "seed": 9,
              "antithetic": True, "control_orders": [1]}
     cfg = write_config(tmp_path / "c.json", std_model_dict, study)
     out = tmp_path / "out"
     proc = run_cli("mc-validate", cfg, out, "--check")
-    assert proc.returncode == 4, proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert "lambdas" in proc.stderr
+    assert not (out / "mc_validate.json").exists()
+    assert run_cli("mc-validate", cfg, out).returncode == 0
     report = _strict_json((out / "mc_validate.json").read_text())
     assert report["slope"] is None
     assert report["intercept"] is None
+
+
+@pytest.mark.parametrize("study, check", [
+    ({"n_keep": -1}, False),
+    ({"control_orders": [1, 5]}, False),
+    ({"control_orders": [0]}, False),
+    ({"lambdas": [0.1, 0.1]}, True),
+    ({"lambdas": [0.1, 0.0]}, True),
+], ids=["n_keep", "order-5", "order-0", "one-lambda", "zero-lambda"])
+def test_mc_validate_config_checked_before_any_work(study, check, tmp_path,
+                                                    std_model_dict,
+                                                    monkeypatch, capsys):
+    # in-process, so a coefficient or a draw fails the test at once
+    from weakdis import coefficients, montecarlo
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking the config")
+
+    monkeypatch.setattr(coefficients, "coefficient_T", no_work)
+    monkeypatch.setattr(montecarlo, "sample_config", no_work)
+    base = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
+            "lambdas": [0.1, 0.05], "n_samples": 32, "seed": 9,
+            "antithetic": True, "control_orders": [1, 2]}
+    cfg = write_config(tmp_path / "c.json", std_model_dict,
+                       dict(base, **study))
+    code = cli.main(["mc-validate", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")] + ["--check"] * check)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "n_keep" in err or "lambdas" in err
 
 
 def test_holds_needs_finite_evidence():

@@ -29,6 +29,7 @@ from weakdis import (
     wavepacket_fourier_periodized,
 )
 from weakdis import montecarlo
+from weakdis._accum import fsum_c
 from weakdis.montecarlo import _draw_poisson
 
 from reference import (fourier_quad_axis, potential_fourier,
@@ -341,6 +342,92 @@ def test_stacked_solves_equal_per_matrix_lu():
     for case, (bad, empty) in results:
         assert bad == [], case
         assert 0 < empty < 17, case
+
+
+def test_chunk_size_keeps_every_bit(std_lattice, gauss_profile, rademacher,
+                                    psi_pair, monkeypatch):
+    # chunks of 1 and 7 realizations and the default size (one chunk here)
+    # give == results: a realization's numbers must not depend on the
+    # stack it is part of
+    from weakdis.dos import ChiBump, dos_mc
+
+    psi1, psi2 = psi_pair
+    model = (std_lattice, gauss_profile, rademacher)
+    T = {j: coefficient_T(j, *model, Z, psi1, psi2).value for j in (1, 2, 3)}
+    runs = [  # (systems per realization, run)
+        (4, lambda: estimate_expectation(
+            120, [0.1, 0.05], Z, psi1, psi2, 7, *model, antithetic=True,
+            control_values=T)),
+        (1, lambda: estimate_partial_term(3, 60, Z, psi1, psi2, 7, *model)),
+        (1, lambda: dos_mc(ChiBump(center=1.0, width=0.5), 0.05, 0.1, 15, 5,
+                           *model, check_routes=True)),
+    ]
+    default = montecarlo.CHUNK_BYTES
+    for systems, run in runs:
+        results = []
+        for per_chunk in (1, 7, None):
+            monkeypatch.setattr(
+                montecarlo, "CHUNK_BYTES", default if per_chunk is None
+                else 16 * systems * std_lattice.size**2 * per_chunk)
+            results.append(run())
+        assert results[0] == results[1] == results[2]
+
+
+def test_partial_term_equals_per_realization_strings(std_lattice,
+                                                     gauss_profile,
+                                                     rademacher, psi_pair):
+    # the stacked operator strings against one 2-D matmul string per
+    # realization: np.matmul on contiguous stacks keeps every bit
+    psi1, psi2 = psi_pair
+    model = (std_lattice, gauss_profile, rademacher)
+    p1 = montecarlo._as_hat(psi1, std_lattice)
+    p2 = montecarlo._as_hat(psi2, std_lattice)
+    r0 = 1.0 / (std_lattice.nu_values - Z)
+    for n in (1, 2, 3):
+        units = []
+        for i in range(40):
+            cfg = sample_config(std_lattice, rademacher, rng_for(7, i))
+            x = r0 * p2
+            for _ in range(n):
+                x = r0 * (potential_matrix(cfg, std_lattice, gauss_profile)
+                          @ x)
+            units.append(fsum_c(np.conj(p1) * x) / std_lattice.volume
+                         if cfg.M else 0j)
+        est = estimate_partial_term(n, 40, Z, psi1, psi2, 7, *model)
+        assert est.mean == fsum_c(units) / 40
+
+
+@pytest.mark.parametrize("d, L, K", [(1, 2.0, 8), (2, 1.5, 2), (3, 1.3, 1)])
+def test_potential_stack_equals_single_calls(d, L, K, gauss_profile,
+                                             rademacher):
+    # one k . y matmul per configuration: a joint one over the stack moves
+    # bits at d >= 2
+    lattice = build_lattice(d, L, K)
+    cfgs = [sample_config(lattice, rademacher, rng_for(3, i))
+            for i in range(60)]
+    W = potential_matrix(cfgs, lattice, gauss_profile)
+    assert W.shape == (60, lattice.size, lattice.size)
+    assert W.flags.c_contiguous
+    assert min(c.M for c in cfgs) == 0 and max(c.M for c in cfgs) > 1
+    for V, cfg in zip(W, cfgs):
+        assert np.array_equal(V, potential_matrix(cfg, lattice,
+                                                  gauss_profile))
+
+
+@pytest.mark.parametrize("L, kind", [(2.0, "rademacher"),
+                                     (40.0, "centered-uniform")])
+def test_rekeyed_generator_replays_rng_for(L, kind):
+    # one generator re-keyed to (seed, i) after other draws, against a new
+    # one per stream; L = 40 draws the count by rng.poisson
+    lattice = build_lattice(1, L, 2)
+    dist = WeightDistribution(kind=kind)
+    rng = rng_for(5, 0)
+    for i in range(200):
+        got = sample_config(lattice, dist, montecarlo._rekey(rng, 5, i))
+        want = sample_config(lattice, dist, rng_for(5, i))
+        assert got.M == want.M
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.weights, want.weights)
 
 
 def test_estimate_expectation_rejects_negative_coupling_before_drawing(

@@ -1,0 +1,73 @@
+"""Seed sweep of the shipped ``mc-validate --check``.
+
+    python tests/tools/mc_seed_sweep.py [--seeds 1-70] [--threads 1]
+                                        [--root CHECKOUT]
+
+Runs ``python -m weakdis mc-validate --config configs/mc_validate.json
+--check --seed S`` of the checkout at ``--root`` (default: the one this file
+is in) once per seed, one after the other, with one BLAS thread, and prints
+one JSON line per seed: the exit code, the fitted slope (null when the fit
+is undefined or no report was written) and the sha256 of
+``mc_validate.csv`` and ``mc_validate.json``.  The lines of two checkouts
+can be diffed as they are.  Not a test module: the test suite does not
+collect it.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FILES = ("mc_validate.csv", "mc_validate.json")
+
+
+def seed_list(text):
+    """'1-70' or '3,7,9' (or a mix) as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def sweep_one(root, seed, threads, out):
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("ENGINE_THREADS", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakdis", "mc-validate", "--config",
+         str(root / "configs" / "mc_validate.json"), "--out", str(out),
+         "--check", "--seed", str(seed), "--threads", str(threads)],
+        env=env, capture_output=True)
+    line = {"seed": seed, "exit": proc.returncode, "slope": None}
+    for name in FILES:
+        path = out / name
+        line[name] = (hashlib.sha256(path.read_bytes()).hexdigest()
+                      if path.exists() else None)
+    if line["mc_validate.json"] is not None:
+        line["slope"] = json.loads((out / "mc_validate.json").read_text())[
+            "slope"]
+    return line
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-70"))
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--root", type=Path,
+                        default=Path(__file__).resolve().parents[2])
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            out = Path(tmp) / str(seed)
+            print(json.dumps(sweep_one(args.root.resolve(), seed,
+                                       args.threads, out)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
