@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0, k1
 
 from . import partitions as pt
 from ._accum import fsum_c, fsum_r, gl_integrate
@@ -57,8 +56,8 @@ class ChiBump:
         return (self.center - self.width, self.center + self.width)
 
     @property
-    def mass(self):  # the bump's integral
-        return self.width * math.sqrt(math.e) * float(k1(0.5) - k0(0.5))
+    def mass(self):  # the bump's integral; K1(1/2) - K0(1/2) as a literal
+        return self.width * math.sqrt(math.e) * 0.732022048775635
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -275,8 +274,7 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
     volume = lattice.volume
 
     def traces(count, live, W):
-        mus = np.linalg.eigvalsh(
-            _hamiltonians(nu_c, (lam,), count, live, W)[:, 0])
+        mus = np.linalg.eigvalsh(_hamiltonians(nu_c, lam, count, live, W))
         return [(_trace_from_eigs(mu, chi, eta, volume, a, b),
                  _stone_from_eigs(mu, chi, eta, volume, a, b)
                  if check_routes else 0.0) for mu in mus]
@@ -296,10 +294,16 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
 # trace-class and eta-scaling checks
 
 
+MAX_SUP_POINTS = 1_000_000_000  # scatterer x grid point pairs, ~25 ns each
+
+
 def potential_sup(config, lam, lattice, profile) -> float:
     """Sup of the realized potential on a dense spatial grid."""
     d, L = lattice.d, lattice.L
     pts_per_axis = {1: 4001, 2: 201, 3: 41}[d]
+    if config.M * pts_per_axis**d > MAX_SUP_POINTS:
+        raise BudgetError(f"potential sup: {config.M} scatterers x "
+                          f"{pts_per_axis**d} points over {MAX_SUP_POINTS}")
     axes = [np.linspace(-L / 2, L / 2, pts_per_axis, endpoint=False)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     x = np.stack([g.ravel() for g in mesh], axis=-1)
@@ -314,10 +318,10 @@ def trace_class_bound_check(config, lam, f, C_f, lattice,
                             profile) -> BoundReport:
     """tr|f(H)| <= C_f (2||V||_inf^2 + 2) tr((kinetic)^2 + 1)^{-1} on the
     truncated model, for |f| <= C_f <.>^{-2}."""
+    vsup = potential_sup(config, lam, lattice, profile)  # budget first
     H = assemble_hamiltonian(config, lam, lattice, profile)
     mu = np.linalg.eigvalsh(H.entries)
     lhs = fsum_r(np.abs(f(mu)))
-    vsup = potential_sup(config, lam, lattice, profile)
     rhs = C_f * (2.0 * vsup**2 + 2.0) * fsum_r(1.0 / (lattice.nu_values**2 + 1.0))
     return BoundReport(
         name="trace_class",

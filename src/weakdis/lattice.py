@@ -12,7 +12,7 @@ of a function ``f`` is the box-truncated integral
     f_hat(k) = integral over [-L/2, L/2)^d of f(x) exp(-2 pi i k.x) dx,
 
 evaluated in closed form (with complementary-error-function boundary
-corrections for Gaussians) via the scaled Faddeeva function.
+corrections for Gaussians) via the Faddeeva function (Weideman's series).
 """
 
 import math
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import wofz
 
 # unused here, but perfbench/tracer.py wraps these bindings
 from ._accum import fsum_c, fsum_r  # noqa: F401
@@ -250,6 +249,23 @@ class Wavepacket:
 # ---------------------------------------------------------------------------
 # periodized Fourier transforms (box-truncated integrals, closed forms)
 
+# Weideman's rational series for w(z) (SIAM J. Numer. Anal. 31 (1994) 1497),
+# N = 64 terms: within 5e-14 relative of scipy's wofz (see the lattice tests)
+_W_N = 64
+_W_ELL = math.sqrt(_W_N / math.sqrt(2.0))
+_W_T = _W_ELL * np.tan(np.arange(1 - 2 * _W_N, 2 * _W_N) * np.pi / (4 * _W_N))
+_W_COEFS = (np.fft.fft(np.fft.fftshift(np.r_[0.0, np.exp(-_W_T**2) * (
+    _W_ELL**2 + _W_T**2)])).real / (4 * _W_N))[_W_N:0:-1]  # Horner order
+
+
+def _faddeeva(z):
+    """w(z) = exp(-z^2) erfc(-iz) on the closed upper half plane."""
+    lz = _W_ELL - 1j * z
+    Z, p = (_W_ELL + 1j * z) / lz, 0.0
+    for c in _W_COEFS:
+        p = p * Z + c
+    return 2.0 * p / lz**2 + (1.0 / math.sqrt(math.pi)) / lz
+
 
 def _gauss_box_ft_axis(sigma, L, q, x0=0.0):
     """Box-truncated Fourier integral of exp(-pi sigma (x-x0)^2) at frequency q.
@@ -266,12 +282,10 @@ def _gauss_box_ft_axis(sigma, L, q, x0=0.0):
     if alpha_hi <= 0 or alpha_lo <= 0:
         raise ConfigError("wavepacket center must lie strictly inside the box")
     full = np.exp(-beta * beta)
-    tail_hi = 0.5 * math.exp(-alpha_hi**2) * np.exp(-2j * alpha_hi * beta) * wofz(
-        -beta + 1j * alpha_hi
-    )
-    tail_lo = 0.5 * math.exp(-alpha_lo**2) * np.exp(2j * alpha_lo * beta) * wofz(
-        beta + 1j * alpha_lo
-    )
+    tail_hi = 0.5 * math.exp(-alpha_hi**2) * np.exp(-2j * alpha_hi * beta) * (
+        _faddeeva(-beta + 1j * alpha_hi))
+    tail_lo = 0.5 * math.exp(-alpha_lo**2) * np.exp(2j * alpha_lo * beta) * (
+        _faddeeva(beta + 1j * alpha_lo))
     phase = np.exp(-2j * np.pi * q * x0)
     return phase * (full - tail_hi - tail_lo) / rs
 
@@ -360,7 +374,7 @@ def profile_periodized_value(profile: ProfileSpec, x, L):
 # ---------------------------------------------------------------------------
 # decay envelopes (used for truncation tail bounds and norm tails)
 
-# |w * wofz(w)| is bounded on the closed upper half plane; 1/sqrt(pi) is the
+# |z w(z)| is bounded on the closed upper half plane; 1/sqrt(pi) is the
 # asymptotic value and 0.7 a verified safe ceiling (see the lattice tests).
 _WOFZ_CEIL = 0.7
 

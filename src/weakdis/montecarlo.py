@@ -168,15 +168,14 @@ def _check_matrix(lattice: MomentumLattice, lam: float = 0.0):
             f"matrix dimension {lattice.size} over budget {MAX_MATRIX_DIM}")
 
 
-def _hamiltonians(nu_c: np.ndarray, coefs, count, live, W) -> np.ndarray:
-    """diag(nu) + c * V for every realization of a chunk of count and every
-    coupling c, as one (count, len(coefs), N, N) array.  W stacks the
-    potential matrices of the realizations live (those with scatterers);
-    the others leave diag(nu), which D + 0 * V equals bit for bit."""
+def _hamiltonians(nu_c: np.ndarray, lam, count, live, W) -> np.ndarray:
+    """diag(nu) + lam * V for every realization of a chunk of count, as one
+    (count, N, N) array.  W stacks the potential matrices of the
+    realizations live (those with scatterers); the others leave diag(nu),
+    which D + 0 * V equals bit for bit."""
     D = np.diag(nu_c)
-    H = np.tile(D, (count, len(coefs), 1, 1))
-    for k, c in enumerate(coefs):
-        H[live, k] = D + c * W
+    H = np.tile(D, (count, 1, 1))
+    H[live] = D + lam * W
     return H
 
 
@@ -377,26 +376,31 @@ def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
     p1 = _as_hat(psi1, lattice)
     p2 = _as_hat(psi2, lattice)
     nu = lattice.nu_values
-    nu_c = nu.astype(complex)
+    D = np.diag(nu.astype(complex))
     r0 = 1.0 / (nu - z)
     z_eye = z * np.eye(lattice.size)
     volume = lattice.volume
     signs = (1, -1) if antithetic else (1,)
     members = [(lam, sign) for lam in lams for sign in signs]
-    coefs = [sign * lam for lam, sign in members]
+    coefs = np.array([sign * lam for lam, sign in members])[:, None, None]
     # per control order: every member's sign^j (the flip) and (-lam)^j
     powers = {j: np.array([(sign**j, (-lam) ** j) for lam, sign in members]).T
               for j in orders}
 
+    # every realization without scatterers solves diag(nu) - z: once here
+    free = fsum_rows(np.conj(p1) * np.linalg.solve(D - z_eye, p2), volume)
+
     def chunk(count, live, W):
-        """Every coupling and sign of a chunk in one stacked solve, then the
-        controls and the pair mean as array operations in scalar order."""
-        A = _hamiltonians(nu_c, coefs, count, live, W)
+        """Every coupling and sign of the live realizations in one stacked
+        solve, then the controls and the pair mean in scalar order."""
+        A = coefs * W[:, None]  # c V + diag(nu) == diag(nu) + c V, exactly
+        A += D
         A -= z_eye
         if not (np.isfinite(A).all() and np.isfinite(p2).all()):
             raise ValueError("array must not contain infs or NaNs")
-        X = np.linalg.solve(A, p2[:, None])[..., 0]
-        vals = fsum_rows(np.conj(p1) * X, volume)
+        vals = np.full((count, len(coefs)), free)
+        vals[live] = fsum_rows(
+            np.conj(p1) * np.linalg.solve(A, p2[:, None])[..., 0], volume)
         t = _chain_terms(W, r0, p1, p2, orders[-1], volume) if orders else None
         for j in orders:
             tj = np.zeros_like(vals)  # 0 without scatterers

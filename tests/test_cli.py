@@ -274,10 +274,18 @@ def test_config_number_helpers():
             _numbers(bad, "lambdas")
 
 
-def test_cli_import_loads_no_quadrature_or_solver_scipy():
-    # every study pays for what weakdis.cli imports
-    code = ("import sys, weakdis.cli; print(*(m for m in ('scipy.integrate', "
-            "'scipy.optimize', 'scipy.linalg') if m in sys.modules))")
+def test_cli_setup_loads_no_scipy():
+    # every study pays for what its setup imports: the CLI, the model and
+    # the first transform tables (perfbench's setup probe runs this path)
+    code = ("import sys, weakdis.cli as cli\n"
+            "from weakdis.coefficients import bhat_difference_table, "
+            "psi_hat_vector\n"
+            "lattice, profile, _, psi1, _ = cli.build_model({'d': 1, 'L': 2.0,"
+            " 'K': 8, 'profile': {'kind': 'gaussian', 'sigma': 1.0}, "
+            "'weights': {'kind': 'rademacher'}})\n"
+            "bhat_difference_table(profile, lattice)\n"
+            "psi_hat_vector(psi1, lattice)\n"
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.split() == []
@@ -298,6 +306,18 @@ def test_exit_3_bound_window_budget(tmp_path, std_model_dict, capsys):
     code = cli.main(["bounds", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
     assert code == 3 and "bound window" in capsys.readouterr().err
+
+
+def test_exit_3_potential_sup_budget(tmp_path, std_model_dict, capsys):
+    # about 1e6 scatterers times the 4001-point grid: the trace-class check
+    # stops before it builds the sampled potential
+    std_model_dict["L"] = 1e6
+    study = {"kind": "bounds", "E_grid": [1.0], "eta_grid": [0.1],
+             "L_grid": [1], "d_grid": [1]}
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    code = cli.main(["bounds", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 3 and "potential sup" in capsys.readouterr().err
 
 
 def test_exit_4_check_failure(tmp_path, std_model_dict, run_cli):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import k0, k1
 
 from weakdis import (
     BudgetError,
@@ -46,6 +47,8 @@ def test_chibump_mass_is_its_integral():
         ref, _ = quad(chi, *chi.support, points=[center], epsabs=1e-15,
                       epsrel=1e-13, limit=200)
         assert chi.mass == pytest.approx(ref, rel=1e-14)
+        # the engine's literal is scipy's K1(1/2) - K0(1/2), bit for bit
+        assert chi.mass == width * math.sqrt(math.e) * float(k1(0.5) - k0(0.5))
 
 
 def test_order0_matches_closed_form(std_lattice, gauss_profile, rademacher):

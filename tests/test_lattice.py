@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from weakdis import (
     ConfigError,
@@ -19,6 +20,7 @@ from weakdis import (
     profile_periodized_value,
     wavepacket_fourier_periodized,
 )
+from weakdis import lattice as lat
 from weakdis.lattice import _int_grid, _weighted_sup, int_box
 
 from reference import box_norm_sq, fourier_quad_axis, nelder_mead_weighted_sup
@@ -62,6 +64,30 @@ def test_gaussian_fourier_matches_quadrature(gauss_profile):
         quad = fourier_quad_axis(gauss_profile.axis_value, L, q)
         got = profile_fourier_periodized(gauss_profile, np.array([[q]]), L)[0]
         assert got == pytest.approx(complex(quad).real, abs=5e-13)
+
+
+def test_faddeeva_matches_scipy_wofz():
+    # bound fixed beforehand: 5e-14 relative; the worst points lie near
+    # |z| = 6-8
+    x = np.linspace(-300.0, 300.0, 60001)
+    for y in (1e-8, 1e-3, 0.5, 1.77, 7.0, 30.0, 100.0):
+        z = x + 1j * y
+        ref = wofz(z)
+        assert np.max(np.abs(lat._faddeeva(z) - ref) / np.abs(ref)) <= 5e-14
+
+
+def test_gauss_box_transform_matches_the_wofz_route(monkeypatch):
+    # the same closed form through scipy's wofz, on lattice momenta m / L
+    sweep = [(sigma, L, x0) for sigma in (0.05, 0.3, 1.0, 4.0, 30.0)
+             for L in (1.0, 2.0, 4.0, 8.0, 64.0)
+             for x0 in (0.0, 0.25, 0.45 * L)]
+    qs = [np.arange(-64, 65) / L for _, L, _ in sweep]
+    got = [lat._gauss_box_ft_axis(*case[:2], q, case[2])
+           for case, q in zip(sweep, qs)]
+    monkeypatch.setattr(lat, "_faddeeva", wofz)
+    for case, q, g in zip(sweep, qs, got):
+        ref = lat._gauss_box_ft_axis(*case[:2], q, case[2])
+        assert np.max(np.abs(g - ref) / np.abs(ref)) <= 5e-14, case
 
 
 def test_gaussian_fourier_offcenter_matches_quadrature():
