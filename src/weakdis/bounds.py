@@ -84,10 +84,11 @@ def ft_norm_l1(profile: ProfileSpec, d: int) -> float:
     return abs(profile.b0) * (2.0 * (val + tail)) ** d
 
 
+@lru_cache(maxsize=None)
 def fullspace_star_norms(profile: ProfileSpec, L: float, d: int):
     """(s1, sinf) lattice norms of the full-space transform sampled on the
     dual lattice: s1 = (1/L^d) sum |f|, sinf = sup |f|, both with explicit
-    tails for the window cutoff."""
+    tails for the window cutoff; cached."""
     X = 8192
     axis = _ft_axis_abs(profile)
     ks = np.arange(-X, X + 1) / L
@@ -381,9 +382,8 @@ def main_error_bound_rhs(n: int, d: int, E: float, eta: float, lam: float,
         raise ConfigError("the residual bound needs a centered weight law")
     ct = c_tilde(E, d, profile)
     normB1 = profile.norm_l1(d)
-    ksq = sum((normB1**blocks * abs(mw) * ct ** (2 * n - blocks)
-               for _, mw, _, blocks in pt.live_partitions(2 * n, dist)), 0.0)
-    K_n = math.sqrt(ksq)
+    # m = 2n - blocks free indices per partition of {1..2n}
+    K_n = math.sqrt(pt.block_sum(2 * n, dist, normB1, lambda m: ct**m))
     # wavepackets are unit-normalized in full space by construction, and the
     # box restriction only shrinks the norms, so 1 bounds both factors
     del psi1, psi2

@@ -313,56 +313,34 @@ def bhat_star_norms(profile: ProfileSpec, L, K=None, d=1):
     side = np.arange(-2 * K, 2 * K + 1)
     axis_vals = np.abs(profile_fourier_periodized(replace(profile, b0=1.0),
                                                   side[:, None] / L, L))
-    env = profile_axis_envelope(profile, L)
-    axis_tail = _axis_envelope_tail(env, L, 2 * K)
-    s1 = abs(profile.b0) * ((axis_vals.sum() + axis_tail) ** d) / L**d
+    _, out, rem = _axis_sums(profile_axis_envelope(profile, L), L, 2 * K,
+                             200_000 if 2 * K < 200_000 else 4 * K)
+    s1 = abs(profile.b0) * ((axis_vals.sum() + (out + rem)) ** d) / L**d
     sinf = abs(profile.b0) * float(axis_vals.max()) ** d
     return float(s1), float(sinf)
 
 
-def _axis_envelope_tail(env, L, K_in):
-    """Upper bound on sum of env(m/L) over |m| > K_in (one axis).
-
-    Numeric out to X = 200000 (2 K_in past it) plus an integral-comparison
-    remainder for the k^-2 envelope tail beyond it.
-    """
-    X = 200_000 if K_in < 200_000 else 2 * K_in
-    ms = np.arange(K_in + 1, X + 1)
-    partial = 2.0 * float(np.sum(env(ms / L)))
-    # beyond X the envelopes decay at least like 1/k^2, so the remainder is
-    # dominated by env(X/L) * sum_{m>X} (X/m)^2 <= env(X/L) * X
-    rem = 2.0 * float(env(X / L)) * X
-    return partial + rem
-
-
-def _axis_pair_window_sum(env1, env2, L, K_in):
-    """(windowed, full) sums of env1*env2 over one integer axis, to 1e5."""
-    X = 100_000
-    ms_in = np.arange(-K_in, K_in + 1)
-    win = float(np.sum(env1(ms_in / L) * env2(ms_in / L)))
-    ms = np.arange(K_in + 1, X + 1)
-    out = 2.0 * float(np.sum(env1(ms / L) * env2(ms / L)))
-    rem = 2.0 * float(env1(X / L) * env2(X / L)) * X
-    return win, win + out + rem
+def _axis_sums(env, L, K_in, X):
+    """(win, out, rem): env(m/L) summed over |m| <= K_in and over
+    K_in < |m| <= X on both sides, and (env(X/L) + env(-X/L)) X, which
+    bounds the rest of a k^-2 envelope.  X = K_in sums the window alone."""
+    win = float(np.sum(env(np.arange(-K_in, K_in + 1) / L)))
+    ms = np.arange(K_in + 1, X + 1) / L
+    out = float(np.sum(env(ms))) + float(np.sum(env(-ms)))
+    rem = (float(env(X / L)) + float(env(-X / L))) * X
+    return win, out, rem
 
 
 @lru_cache(maxsize=None)
-def _free_escape_sums(profile: ProfileSpec, lattice, m):
-    """(SB_all, SB_thr) for m free indices; cached.
-
-    SB_all is the summed profile envelope over the difference window, SB_thr
-    the same sum inside the escape threshold max(1, K // (2m)) (K at m = 0);
-    both are (1/L^d)-normalized.  Neither depends on z, nor on the
-    partition beyond m.
-    """
-    d, K, L = lattice.d, lattice.K, lattice.L
-    envB = profile_axis_envelope(profile, L)
-    ones = lambda k: np.ones_like(np.asarray(k, dtype=float))
-    _, ball = _axis_pair_window_sum(envB, ones, L, 2 * K)
-    thr = max(1, K // (2 * m)) if m else K
-    bthr, _ = _axis_pair_window_sum(envB, ones, L, thr)
-    b0 = abs(profile.b0)
-    return b0 * ball**d / L**d, b0 * bthr**d / L**d
+def _profile_escape_sum(profile: ProfileSpec, lattice, thr=None):
+    """|b0| (the profile envelope summed over one axis)^d / L^d, over the
+    whole axis (SB_all: thr None, cut off at 1e5) or inside the escape
+    threshold thr alone (SB_thr); cached, independent of z and n."""
+    L = lattice.L
+    env = profile_axis_envelope(profile, L)
+    axis = (sum(_axis_sums(env, L, 2 * lattice.K, 100_000)) if thr is None
+            else _axis_sums(env, L, thr, thr)[0])
+    return abs(profile.b0) * axis**lattice.d / L**lattice.d
 
 
 @lru_cache(maxsize=None)
@@ -374,31 +352,38 @@ def _psi_escape_sums(lattice, psi1, psi2):
     for j in range(d):
         e1 = wavepacket_axis_envelope(psi1, j, L)
         e2 = wavepacket_axis_envelope(psi2, j, L)
-        _, w_all = _axis_pair_window_sum(e1, e2, L, K)
-        w_half, _ = _axis_pair_window_sum(e1, e2, L, K // 2)
-        psi_all *= w_all
-        psi_half *= w_half
+        pair = lambda k: e1(k) * e2(k)
+        psi_all *= sum(_axis_sums(pair, L, K, 100_000))
+        psi_half *= _axis_sums(pair, L, K // 2, K // 2)[0]
     return psi_all / L**d, max(0.0, (psi_all - psi_half)) / L**d
 
 
-def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
-    """Conservative bound on the mass the window truncation discards.
+def _escape_bound(n, lattice, profile, dist, outer, inner, whole, s1=0.0):
+    """Union bound over the first variable to leave the window, ||B||_1 per
+    block: with m free momenta, outer s1^m (the outer momentum leaves) +
+    inner m (SB_all - SB_thr)_+ SB_all^(m-1) (a free one passes the
+    threshold max(1, K // (2m))) + whole SB_all^m (the rest)."""
+    SB_all = _profile_escape_sum(profile, lattice, None)
 
-    Union bound over the first variable to leave the window: either the
-    outer momentum exceeds K/2, or some free momentum exceeds K/(2m); each
-    case is bounded by decay-envelope sums, with resolvents bounded by the
-    distance to the spectrum and non-free step factors by ||B||_1.
-    """
+    def escape(m):
+        SB_thr = _profile_escape_sum(profile, lattice,
+                                     max(1, lattice.K // (2 * m)) if m
+                                     else lattice.K)
+        return (outer * s1**m + inner * m * max(0.0, SB_all - SB_thr)
+                * SB_all ** max(0, m - 1) + whole * SB_all**m)
+
+    return pt.block_sum(n, dist, profile.norm_l1(lattice.d), escape)
+
+
+def truncation_tail_bound(n, lattice, profile, dist, z, psi1, psi2) -> float:
+    """Conservative bound on the mass the window truncation discards:
+    ``_escape_bound`` on the paired test-function envelopes (the outer
+    momentum past K/2 carries the escape mass), resolvents bounded by the
+    distance to the spectrum."""
     dist_z = dist_to_spectrum(z)
     s_psi_all, s_psi_escape = _psi_escape_sums(lattice, psi1, psi2)
-    normB1 = profile.norm_l1(lattice.d)
-    total = 0.0
-    for _, w, m, blocks in pt.live_partitions(n, dist):
-        SB_all, SB_thr = _free_escape_sums(profile, lattice, m)
-        e = (s_psi_escape * SB_all**m + s_psi_all * m
-             * max(0.0, SB_all - SB_thr) * SB_all ** max(0, m - 1))
-        total += abs(w) * normB1**blocks * e
-    return total * dist_z ** (-(n + 1))
+    return _escape_bound(n, lattice, profile, dist, 0.0, s_psi_all,
+                         s_psi_escape) * dist_z ** (-(n + 1))
 
 
 def conj_symmetry_check(n, lattice, profile, dist, z, psi) -> BoundReport:

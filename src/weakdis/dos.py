@@ -14,7 +14,7 @@ from . import partitions as pt
 from ._accum import fsum_c, fsum_r, gl_integrate
 from .coefficients import (
     _chain_sum,
-    _free_escape_sums,
+    _escape_bound,
     _prefactor,
     bhat_difference_table,
     bhat_star_norms,
@@ -24,7 +24,6 @@ from .lattice import int_box, profile_periodized_value
 from .montecarlo import (
     EstimatorResult,
     _check_matrix,
-    _hamiltonians,
     _se_complex,
     _stone_from_eigs,
     _trace_from_eigs,
@@ -127,9 +126,9 @@ def dos_density_order0(E, eta, lattice) -> float:
 # truncation tails for the DOS coefficient
 
 
-def _outer_resolvent_tail(lattice, E, eta, smoothed: bool) -> float:
+def _outer_resolvent_tail(lattice, E, eta) -> float:
     """(1/L^d) * sum over window-escaping outer momenta of
-    ((nu-E)^2+eta^2)^{-1}, times eta if smoothed (order-0 form)."""
+    ((nu-E)^2+eta^2)^{-1}."""
     d, K, L = lattice.d, lattice.K, lattice.L
     X = {1: 4096, 2: 512, 3: 64}[d]
     X = max(X, 4 * K, int(2 * L * math.sqrt(max(E, 1.0))) + 1)
@@ -141,49 +140,25 @@ def _outer_resolvent_tail(lattice, E, eta, smoothed: bool) -> float:
     # beyond X: nu >= (s/L)^2/2 >= 2E, so (nu-E)^2 >= (s/L)^4/16, and the
     # shell |m|_inf = s has at most 2d(3s)^(d-1) points
     rem = 32.0 * d * 3 ** (d - 1) * L**4 * X ** (d - 4) / (4 - d)
-    total = (exact + rem) / lattice.volume
-    return eta * total if smoothed else total
-
-
-def _window_resolvent_sums(lattice, E, eta):
-    """((nu-E)^2+eta^2)^{-1} summed over the inner half-window and over the
-    outer ring of the window, both 1/L^d-normalized."""
-    K = lattice.K
-    ints = lattice.ints
-    nuv = lattice.nu_values
-    w = 1.0 / ((nuv - E) ** 2 + eta**2)
-    half = np.max(np.abs(ints), axis=-1) <= K // 2
-    return fsum_r(w[half]) / lattice.volume, fsum_r(w[~half]) / lattice.volume
+    return (exact + rem) / lattice.volume
 
 
 def _dos_tail(n, lattice, profile, dist, E, eta) -> float:
-    """Bound on the window-truncation error of the order-n DOS coefficient.
-
-    Escapes are charged to the outer momentum (beyond the window), to a
-    free momentum exceeding K/(2m) while the outer momentum sits in the
-    half-window, or to the outer ring of the window at full weight; the
-    two outer-momentum resolvent factors are kept in each case.
-    """
+    """Bound on the window-truncation error of the order-n DOS coefficient:
+    at order 0 the smoothed outer sum past the window; from order 1 on,
+    ``_escape_bound`` on ((nu-E)^2+eta^2)^{-1} summed past the window (the
+    outer momentum leaves), in the half-window (a free one escapes) and on
+    the ring between (at full weight)."""
+    r2_out = _outer_resolvent_tail(lattice, E, eta)
     if n == 0:
-        return _outer_resolvent_tail(lattice, E, eta, smoothed=True)
-    d, K, L = lattice.d, lattice.K, lattice.L
-    r2_out = _outer_resolvent_tail(lattice, E, eta, smoothed=False)
-    r2_half, r2_ring = _window_resolvent_sums(lattice, E, eta)
-    s1, _ = bhat_star_norms(profile, L, K, d)
-    normB1 = profile.norm_l1(d)
-
-    total = 0.0
-    for _, w, m, blocks in pt.live_partitions(n, dist):
-        outer = s1**m * r2_out
-        if m:
-            SB_all, SB_thr = _free_escape_sums(profile, lattice, m)
-            free_esc = r2_half * m * max(0.0, SB_all - SB_thr) * SB_all ** (m - 1)
-            ring = r2_ring * SB_all**m
-        else:
-            free_esc = 0.0
-            ring = r2_ring
-        total += abs(w) * normB1**blocks * (outer + free_esc + ring)
-    return total * eta ** (-(n - 1)) if n > 1 else total
+        return eta * r2_out
+    w = 1.0 / ((lattice.nu_values - E) ** 2 + eta**2)
+    half = np.max(np.abs(lattice.ints), axis=-1) <= lattice.K // 2
+    s1, _ = bhat_star_norms(profile, lattice.L, lattice.K, lattice.d)
+    total = _escape_bound(n, lattice, profile, dist, r2_out,
+                          fsum_r(w[half]) / lattice.volume,
+                          fsum_r(w[~half]) / lattice.volume, s1)
+    return total * eta ** (-(n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +245,23 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
         raise ConfigError("need at least two samples")
     _check_matrix(lattice, lam)
     a, b = chi.support
-    nu_c = lattice.nu_values.astype(complex)
+    D = np.diag(lattice.nu_values.astype(complex))
     volume = lattice.volume
 
+    def row(mu):
+        return (_trace_from_eigs(mu, chi, eta, volume, a, b),
+                _stone_from_eigs(mu, chi, eta, volume, a, b)
+                if check_routes else 0.0)
+
+    # every realization without scatterers has the spectrum of diag(nu):
+    # its row is computed once here
+    free = row(np.linalg.eigvalsh(D))
+
     def traces(count, live, W):
-        mus = np.linalg.eigvalsh(_hamiltonians(nu_c, lam, count, live, W))
-        return [(_trace_from_eigs(mu, chi, eta, volume, a, b),
-                 _stone_from_eigs(mu, chi, eta, volume, a, b)
-                 if check_routes else 0.0) for mu in mus]
+        rows = np.full((count, 2), free)
+        if live:
+            rows[live] = [row(mu) for mu in np.linalg.eigvalsh(D + lam * W)]
+        return rows
 
     units, stone = map_realizations(n_samples, seed, lattice, profile, dist,
                                     traces, threads).T

@@ -454,9 +454,12 @@ def _weighted_sup(profile: ProfileSpec, alpha, d):
     """sup over x of (1+|x|^2)^d * |prod_j d^(alpha_j) B_j(x_j)|: the maximum
     on a grid over the window, then on 30 zoom grids of 9 points per axis,
     each 4x finer than the last and centred on the best point so far."""
-    # weight grows polynomially, profile decays faster; pad the window
+    # a bump's window is its support [-r, r], edges included; a Gaussian's
+    # weight grows polynomially and the profile decays faster: pad it
     half = {1: 2000, 2: 100, 3: 20}[d]  # grid points on each side
-    step, x = (profile.support_radius() + 2.0 * d) / half, [0.0] * d
+    width = (profile.r if profile.kind == "cosine-bump"
+             else profile.support_radius() + 2.0 * d)
+    step, x = width / half, [0.0] * d
     for _ in range(31):
         axes = [c + step * np.arange(-half, half + 1) for c in x]
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -168,17 +168,6 @@ def _check_matrix(lattice: MomentumLattice, lam: float = 0.0):
             f"matrix dimension {lattice.size} over budget {MAX_MATRIX_DIM}")
 
 
-def _hamiltonians(nu_c: np.ndarray, lam, count, live, W) -> np.ndarray:
-    """diag(nu) + lam * V for every realization of a chunk of count, as one
-    (count, N, N) array.  W stacks the potential matrices of the
-    realizations live (those with scatterers); the others leave diag(nu),
-    which D + 0 * V equals bit for bit."""
-    D = np.diag(nu_c)
-    H = np.tile(D, (count, 1, 1))
-    H[live] = D + lam * W
-    return H
-
-
 def assemble_hamiltonian(config: PoissonConfig, lam: float,
                          lattice: MomentumLattice,
                          profile: ProfileSpec) -> HamiltonianMatrix:

@@ -230,6 +230,15 @@ def live_partitions(n, dist: WeightDistribution):
     return rows
 
 
+def block_sum(n, dist: WeightDistribution, base, f) -> float:
+    """Sum over the live partitions of {1..n}, in enumeration order, of
+    |w| * base**blocks * f(m): the shape of every explicit estimate."""
+    total = 0.0
+    for _, w, m, blocks in live_partitions(n, dist):
+        total += abs(w) * base**blocks * f(m)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # label indicators and counting identities
 

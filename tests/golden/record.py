@@ -66,12 +66,13 @@ def versions() -> dict:
     }
 
 
-def run_studies(work: Path) -> dict:
-    """Run every study once into work/<study>; returns {"study/file": sha256}.
-    Raises RuntimeError naming the study that did not exit 0."""
+def run_studies(work: Path, src: Path = SRC) -> dict:
+    """Run every study once into work/<study>, with the package under src;
+    returns {"study/file": sha256}.  Raises RuntimeError naming the study
+    that did not exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
     env.pop("ENGINE_THREADS", None)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"

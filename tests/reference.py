@@ -103,7 +103,8 @@ def nelder_mead_weighted_sup(profile: ProfileSpec, alpha, d) -> float:
     maximum of ``lattice._weighted_sup``, refined by Nelder-Mead."""
     from scipy.optimize import minimize
 
-    W = profile.support_radius() + 2.0 * d
+    W = (profile.r if profile.kind == "cosine-bump"
+         else profile.support_radius() + 2.0 * d)
     axes = [np.linspace(-W, W, {1: 4001, 2: 201, 3: 41}[d])] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     vals = abs(profile.b0) * (1.0 + sum(m * m for m in mesh)) ** d
@@ -112,7 +113,12 @@ def nelder_mead_weighted_sup(profile: ProfileSpec, alpha, d) -> float:
     idx = np.unravel_index(np.argmax(vals), vals.shape)
     x0 = np.array([axes[j][idx[j]] for j in range(d)])
 
+    # a bump vanishes off [-r, r]^d, so its sup is that of f(clip(x)), which
+    # has no cliff at the support edge for the simplex to stall on
+    edge = W if profile.kind == "cosine-bump" else np.inf
+
     def neg(x):
+        x = np.clip(x, -edge, edge)
         v = abs(profile.b0) * (1.0 + float(np.dot(x, x))) ** d
         for j in range(d):
             v *= abs(float(profile.axis_derivative(np.array([x[j]]),

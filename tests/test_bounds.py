@@ -236,6 +236,23 @@ def test_arctan_bound_sees_narrow_profiles():
     assert rep.lhs == pytest.approx(1e-3, rel=1e-12)
 
 
+def test_bound_rows_evaluate_fullspace_norms_once_per_key():
+    # the resolvent check's tail and const_C both read the full-space
+    # norms: one evaluation per (profile, L, d) serves every (E, eta)
+    from weakdis import bounds
+
+    model = {"d": 1, "L": 2.0, "K": 4,
+             "profile": {"kind": "gaussian", "b0": 1.0, "sigma": 1.0},
+             "weights": {"kind": "rademacher"}}
+    study = {"kind": "bounds", "E_grid": [1.0, 2.0], "eta_grid": [0.1, 0.3],
+             "L_grid": [1, 2], "d_grid": [1]}
+    bounds.fullspace_star_norms.cache_clear()
+    cli._bound_rows({"model": model, "study": study})
+    info = bounds.fullspace_star_norms.cache_info()
+    assert info.misses == 2
+    assert info.hits == 2 * 2 * 2 * 2 - 2
+
+
 def test_arctan_bound_near_equality():
     # f = 1/(1+x^2): the weighted sup is exactly 1 and the full-line
     # integral is exactly pi, so lhs -> rhs as the interval grows

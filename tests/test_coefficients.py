@@ -178,16 +178,23 @@ def test_truncation_tail_bound_positive_and_shrinks(gauss_profile, rademacher,
     assert tails[0] > tails[1] > tails[2]
 
 
+# a pair whose second wavepacket moves at negative momentum
+NEGATIVE_A = (Wavepacket(x0=(0.0,), a=(0.0,), sigma=1.0),
+              Wavepacket(x0=(0.25,), a=(-1.0,), sigma=1.0))
+
+
 def test_truncation_tail_dominates_K_increment(gauss_profile, rademacher,
                                                psi_pair):
-    # doubling K moves the value by less than the claimed tail bound
-    psi1, psi2 = psi_pair
+    # doubling K moves the value by less than the claimed tail bound, for
+    # the shipped pair and for one at negative momentum
     lat8 = build_lattice(1, 2.0, 8)
     lat16 = build_lattice(1, 2.0, 16)
-    v8 = coefficient_T(2, lat8, gauss_profile, rademacher, Z, psi1, psi2)
-    v16 = coefficient_T(2, lat16, gauss_profile, rademacher, Z, psi1, psi2)
-    assert abs(v8.value - v16.value) <= truncation_tail_bound(
-        2, lat8, gauss_profile, rademacher, Z, psi1, psi2)
+    for psi1, psi2 in (psi_pair, NEGATIVE_A):
+        v8 = coefficient_T(2, lat8, gauss_profile, rademacher, Z, psi1, psi2)
+        v16 = coefficient_T(2, lat16, gauss_profile, rademacher, Z, psi1,
+                            psi2)
+        assert abs(v8.value - v16.value) <= truncation_tail_bound(
+            2, lat8, gauss_profile, rademacher, Z, psi1, psi2)
 
 
 def test_imag_sign_flip_conjugates(std_lattice, gauss_profile, rademacher,
@@ -240,3 +247,20 @@ def test_truncation_tail_envelope_sums_are_built_once(psi_pair, gauss_profile,
     # the envelope sums depend on neither z nor n: later sweeps build none
     assert [sweep(z) for z in (Z, 2.0 + 0.5j)][0] == first
     assert len(built) == once
+
+
+def test_psi_escape_mass_covers_both_sides_of_the_axis():
+    # a wavepacket at negative momentum puts more envelope mass at m < 0:
+    # the escape mass outside the half-window K // 2 = 8 must still cover
+    # the paired envelopes summed over both sides, 8 < |m| <= 1e5
+    from weakdis.coefficients import _psi_escape_sums
+    from weakdis.lattice import wavepacket_axis_envelope
+
+    psi1, psi2 = NEGATIVE_A
+    L = 2.0
+    _, escape = _psi_escape_sums(build_lattice(1, L, 16), psi1, psi2)
+    e1 = wavepacket_axis_envelope(psi1, 0, L)
+    e2 = wavepacket_axis_envelope(psi2, 0, L)
+    ms = np.arange(9, 100_001) / L
+    brute = (math.fsum(e1(ms) * e2(ms)) + math.fsum(e1(-ms) * e2(-ms))) / L
+    assert escape >= brute

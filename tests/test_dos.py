@@ -243,6 +243,25 @@ def test_mc_stacked_eigvalsh_equals_per_matrix(threads, std_lattice,
     assert est.std_error == montecarlo._se_complex(units, est.mean)
 
 
+def test_mc_traces_the_scatterer_free_spectrum_once(std_lattice,
+                                                    gauss_profile, rademacher,
+                                                    monkeypatch):
+    # every realization without scatterers has the spectrum of diag(nu):
+    # one trace for all of them, one per live realization
+    import weakdis.dos as dosmod
+
+    calls = []
+    trace = dosmod._trace_from_eigs
+    monkeypatch.setattr(dosmod, "_trace_from_eigs",
+                        lambda *a: calls.append(1) or trace(*a))
+    chi = ChiBump(center=1.0, width=0.5)
+    dos_mc(chi, 0.05, 0.1, 16, 7, std_lattice, gauss_profile, rademacher)
+    live = sum(sample_config(std_lattice, rademacher, rng_for(7, i)).M > 0
+               for i in range(16))
+    assert live < 15  # seed 7 draws several empty realizations
+    assert len(calls) == 1 + live
+
+
 def test_mc_runs_on_the_requested_threads(std_lattice, gauss_profile,
                                           rademacher, monkeypatch):
     from weakdis import montecarlo

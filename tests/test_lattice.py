@@ -191,6 +191,24 @@ def test_zoom_sup_matches_nelder_mead(d, gauss_profile, bump_profile):
             nelder_mead_weighted_sup(profile, alpha, d), rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("r", [0.02, 0.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bump_sups_reach_their_product_bounds(r, d):
+    # |d^a B_j| peaks at s_0 = 1 (t = 0), s_1 = pi/(2r) (t = r/2) and
+    # s_2 = pi^2/(2r^2) (t = r), and the weight is at least 1: the sup is at
+    # least the product of the axis peaks, and at least its value at the
+    # support corner (r, ..., r)
+    bump = ProfileSpec(kind="cosine-bump", b0=1.0, r=r)
+    peak = (1.0, math.pi / (2 * r), math.pi**2 / (2 * r * r))
+    for alpha in product(range(3), repeat=d):
+        corner = (1.0 + d * r * r) ** d * math.prod(
+            abs(float(bump.axis_derivative(np.array([r]), a)[0]))
+            for a in alpha)
+        sup = _weighted_sup(bump, alpha, d)
+        assert sup >= math.prod(peak[a] for a in alpha)
+        assert sup >= corner
+
+
 def test_fourier_decay_check_loads_no_optimizer():
     # the bounds study runs the decay check; its sups need no scipy.optimize
     code = ("import sys\n"
