@@ -52,7 +52,6 @@ from .lattice import (
 )
 from .montecarlo import (
     EstimatorResult,
-    HamiltonianMatrix,
     PoissonConfig,
     assemble_hamiltonian,
     estimate_expectation,

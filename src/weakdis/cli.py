@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -36,31 +36,38 @@ from .lattice import (
 )
 from .report import BoundReport, holds
 
+MAX_LABEL_TUPLES = 10_000_000  # the partitions study's loops, ~3 us each
+
 
 def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _number(value, where, integral=False):
-    """A finite config number, never parsed from a string nor truncated: a
-    bool, a string, NaN, inf, or a fraction for an integer is a ConfigError."""
+def _number(value, where, integral=False, within=(-math.inf, math.inf)):
+    """A finite config number inside the open interval within, never parsed
+    from a string nor truncated: a bool, a string, NaN, inf, a fraction for
+    an integer or a number outside within is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             isinstance(value, float) and not math.isfinite(value)) or (
             integral and isinstance(value, float) and not value.is_integer()):
         kind = "an integer" if integral else "a number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    if not within[0] < value < within[1]:
+        raise ConfigError(f"{where} must lie in ({within[0]:g}, "
+                          f"{within[1]:g}), got {value!r}")
     return int(value) if integral else float(value)
 
 
-def _numbers(value, where, integral=False) -> list:
+def _numbers(value, where, **kind) -> list:
     """A config list of numbers, each checked by ``_number``."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-    return [_number(v, where, integral) for v in value]
+    return [_number(v, where, **kind) for v in value]
 
 
 _int = functools.partial(_number, integral=True)
 _ints = functools.partial(_numbers, integral=True)
+_positives = functools.partial(_numbers, within=(0, math.inf))
 
 
 def _pairs(value, where):
@@ -138,10 +145,12 @@ _STUDY = {
     "bounds": {
         "E_grid": (_numbers, [0.5, 1.0, 2.0]),
         "eta_grid": (_numbers, [1e-3, 1e-2, 0.1, 1.0]),
-        "L_grid": (_numbers, [1, 2, 4, 8]), "d_grid": (_ints, [1, 2]),
+        "L_grid": (_positives, [1, 2, 4, 8]),
+        "d_grid": (functools.partial(_ints, within=(0, 4)), [1, 2]),
         "seed": (_int, 1), "truncated_transform": (bool, False)},
-    "scaling": {"n": (_int, 2), "eps": (_number, 0.5), "E": (_number, 1.0),
-                "lambdas": (_numbers, list(np.geomspace(1e-3, 1e-1, 9)))},
+    "scaling": {"n": (_int, 2), "E": (_number, 1.0),
+                "eps": (functools.partial(_number, within=(0, 2)), 0.5),
+                "lambdas": (_positives, list(np.geomspace(1e-3, 1e-1, 9)))},
     "partitions": {"n_max": (_int, 4), "M_max": (_int, 5),
                    "bell_max": (_int, 10)},
 }
@@ -233,9 +242,9 @@ def cmd_expand(cfg, out_dir, threads, check):
     study = cfg["study"]
     orders = (study["orders"] if "orders" in study
               else list(range(study["n_max"] + 1)))
-    if not orders or min(orders) < 0:
-        raise ConfigError("expand needs at least one order, and no negative one")
     zs = [complex(*p) for p in study["z"]]
+    if not orders or not zs or min(orders) < 0:
+        raise ConfigError("expand needs an order and a z, and no negative order")
     per_partition = cfg["output"]["per_partition"]
 
     meta = _model_meta(lattice, profile, dist)
@@ -276,7 +285,7 @@ def _fit_loglog(lams, values, sigmas):
     distinct lambdas, or a value that is not positive and finite)."""
     x = np.log(np.asarray(lams, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
-    xbar = x.mean()
+    xbar = x.mean() if x.size else 0.0
     sxx = float(np.sum((x - xbar) ** 2))
     if not (sxx > 0.0 and np.all(np.isfinite(y))):
         return None, None, None
@@ -489,30 +498,32 @@ def cmd_bounds(cfg, out_dir, threads, check):
 def cmd_scaling(cfg, out_dir, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
-    n, eps, E = study["n"], study["eps"], study["E"]
+    n, eps, E, lams = study["n"], study["eps"], study["E"], study["lambdas"]
+    if check and len(set(lams)) < 2:
+        raise ConfigError("--check needs two distinct lambdas")
 
     rows = []
-    xs = []
-    ys = []
-    for lam in study["lambdas"]:
+    values = []
+    for lam in lams:
         eta = lam ** (2.0 - eps)
         rhs = bnd.main_error_bound_rhs(n, lattice.d, E, eta, lam, profile,
                                        dist, psi1, psi2)
         divided = rhs / (1.0 + math.log(1.0 / eta + 1.0)) ** n
-        xs.append(math.log(lam))
-        ys.append(math.log(divided))
+        values.append(divided)
         rows.append([_fmt(lam), _fmt(eta), _fmt(rhs), _fmt(divided)])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope, _, _ = _fit_loglog(lams, values, [0.0] * len(values))
     expected = bnd.scaling_exponent(n, eps)
-    within = expected != 0 and holds(abs(slope / expected - 1.0), 0.05)
+    within = expected != 0 and holds(
+        None if slope is None else abs(slope / expected - 1.0), 0.05)
     _write_csv(os.path.join(out_dir, "scaling.csv"),
                ["lambda", "eta", "rhs", "rhs_div_log"], rows)
     _write_json(os.path.join(out_dir, "scaling.json"),
                 {"slope": slope, "expected": expected,
                  "within_5pct": within, "n": n, "eps": eps})
     if check and not within:
+        shown = "undefined" if slope is None else f"{slope:.4f}"
         raise CheckFailure(
-            f"scaling slope {slope:.4f} deviates from {expected:.4f}")
+            f"scaling slope {shown} deviates from {expected:.4f}")
     return 0
 
 
@@ -520,6 +531,12 @@ def cmd_partitions(cfg, out_dir, threads, check):
     study = cfg["study"]
     n_max, M_max, bell_max = study["n_max"], study["M_max"], study["bell_max"]
     _, _, dist, _, _ = build_model(cfg["model"])
+    # 2 sum_n Bell(n) sum_M M^n, counted up to the budget before any is built
+    if any(t > MAX_LABEL_TUPLES for t in accumulate(
+            2 * pt.bell_number(n) * M**n for n in range(1, n_max + 1)
+            for M in range(M_max, 0, -1))):
+        raise BudgetError(f"partitions: n_max {n_max} and M_max {M_max} "
+                          f"visit over {MAX_LABEL_TUPLES:.3g} label tuples")
 
     rows = []
     ok_all = True

@@ -55,10 +55,9 @@ class CoefficientResult:
 
 @lru_cache(maxsize=None)
 def bhat_difference_table(profile: ProfileSpec, lattice: MomentumLattice):
-    """Profile transform on the difference window (integer range 2K),
-    flattened in lexicographic order; cached, read-only."""
-    pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
-    tab = profile_fourier_periodized(profile, pts, lattice.L)
+    """Profile transform on ``_difference_points``; cached, read-only."""
+    tab = profile_fourier_periodized(profile, _difference_points(lattice),
+                                     lattice.L)
     tab.setflags(write=False)
     return tab
 
@@ -78,7 +77,16 @@ def _diff_index(s, K, d):
                                 (4 * K + 1,) * d, mode="clip")
 
 
-# a study uses one lattice: the (N, N) tables of the last one stay resident
+# a study uses one lattice: the tables of the last one stay resident
+@lru_cache(maxsize=1)
+def _difference_points(lattice: MomentumLattice):
+    """int_box(d, 2K) / L, the momenta of the difference window (integer
+    range 2K), flattened in lexicographic order; cached, read-only."""
+    pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
+    pts.setflags(write=False)
+    return pts
+
+
 @lru_cache(maxsize=1)
 def _pair_index(lattice: MomentumLattice):
     """Difference-table index of ints[a] - ints[b], every pair; cached, read-only."""

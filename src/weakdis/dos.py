@@ -22,9 +22,8 @@ from .coefficients import (
 from .errors import BudgetError, ConfigError
 from .lattice import int_box, profile_periodized_value
 from .montecarlo import (
-    EstimatorResult,
     _check_matrix,
-    _se_complex,
+    _result,
     _stone_from_eigs,
     _trace_from_eigs,
     assemble_hamiltonian,
@@ -255,19 +254,11 @@ def dos_mc(chi, lam, eta, n_samples, seed, lattice, profile, dist, *,
 
     # every realization without scatterers has the spectrum of diag(nu):
     # its row is computed once here
-    free = row(np.linalg.eigvalsh(D))
-
-    def traces(count, live, W):
-        rows = np.full((count, 2), free)
-        if live:
-            rows[live] = [row(mu) for mu in np.linalg.eigvalsh(D + lam * W)]
-        return rows
-
-    units, stone = map_realizations(n_samples, seed, lattice, profile, dist,
-                                    traces, threads).T
-    mean = fsum_r(units) / n_samples
-    result = EstimatorResult(mean=mean, std_error=_se_complex(units, mean),
-                             n_samples=n_samples, seed=seed)
+    units, stone = map_realizations(
+        n_samples, seed, lattice, profile, dist,
+        lambda W: [row(mu) for mu in np.linalg.eigvalsh(D + lam * W)],
+        row(np.linalg.eigvalsh(D)), threads).T
+    result = _result(units, n_samples, seed)
     if not check_routes:
         return result
     # np.max keeps a NaN difference instead of dropping it
@@ -303,8 +294,7 @@ def trace_class_bound_check(config, lam, f, C_f, lattice,
     """tr|f(H)| <= C_f (2||V||_inf^2 + 2) tr((kinetic)^2 + 1)^{-1} on the
     truncated model, for |f| <= C_f <.>^{-2}."""
     vsup = potential_sup(config, lam, lattice, profile)  # budget first
-    H = assemble_hamiltonian(config, lam, lattice, profile)
-    mu = np.linalg.eigvalsh(H.entries)
+    mu = np.linalg.eigvalsh(assemble_hamiltonian(config, lam, lattice, profile))
     lhs = fsum_r(np.abs(f(mu)))
     rhs = C_f * (2.0 * vsup**2 + 2.0) * fsum_r(1.0 / (lattice.nu_values**2 + 1.0))
     return BoundReport(

@@ -308,6 +308,16 @@ def _bump_ft_axis(r, q):
     return out
 
 
+def _axis_product(x, scale, dtype, axis):
+    """scale times the product over the axes j, in order, of axis(j, x[:, j]):
+    one value per point of x (n, d), a scalar for one point (d,)."""
+    pts = np.atleast_2d(x)
+    vals = np.full(pts.shape[0], scale, dtype=dtype)
+    for j in range(pts.shape[1]):
+        vals = vals * axis(j, pts[:, j])
+    return vals[0] if np.ndim(x) == 1 else vals
+
+
 def profile_fourier_periodized(profile: ProfileSpec, p, L):
     """Periodized Fourier transform B_hat(p) of the profile, in closed form
     (exact to rounding).
@@ -326,17 +336,10 @@ def profile_fourier_periodized(profile: ProfileSpec, p, L):
     """
     if profile.kind == "cosine-bump" and not profile.r < L / 2:
         raise ConfigError("cosine-bump support radius must satisfy r < L/2")
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 1
-    pts = np.atleast_2d(p)
-    vals = np.full(pts.shape[0], profile.b0, dtype=float)
-    for j in range(pts.shape[1]):
-        if profile.kind == "gaussian":
-            axis = _gauss_box_ft_axis(profile.sigma, L, pts[:, j]).real
-        else:
-            axis = _bump_ft_axis(profile.r, pts[:, j])
-        vals = vals * axis
-    return vals[0] if scalar else vals
+    axis = ((lambda j, q: _gauss_box_ft_axis(profile.sigma, L, q).real)
+            if profile.kind == "gaussian" else
+            (lambda j, q: _bump_ft_axis(profile.r, q)))
+    return _axis_product(np.asarray(p, dtype=float), profile.b0, float, axis)
 
 
 def wavepacket_fourier_periodized(psi: Wavepacket, p, L):
@@ -346,15 +349,10 @@ def wavepacket_fourier_periodized(psi: Wavepacket, p, L):
     a nonzero wavevector or off-center position breaks the symmetry.
     """
     p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 1
-    pts = np.atleast_2d(p)
-    if pts.shape[1] != psi.d:
+    if p.shape[-1] != psi.d:
         raise ConfigError("momentum dimension does not match the wavepacket")
-    vals = np.full(pts.shape[0], psi.normalization, dtype=complex)
-    for j in range(pts.shape[1]):
-        q = pts[:, j] - psi.a[j]
-        vals = vals * _gauss_box_ft_axis(psi.sigma, L, q, x0=psi.x0[j])
-    return vals[0] if scalar else vals
+    return _axis_product(p, psi.normalization, complex, lambda j, q: (
+        _gauss_box_ft_axis(psi.sigma, L, q - psi.a[j], x0=psi.x0[j])))
 
 
 def profile_periodized_value(profile: ProfileSpec, x, L):
@@ -363,12 +361,8 @@ def profile_periodized_value(profile: ProfileSpec, x, L):
     [-L/2, L/2)^d.  Its Fourier coefficients are exactly the truncated
     transform computed by profile_fourier_periodized."""
     x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    wrapped = (pts + L / 2) % L - L / 2
-    vals = np.full(pts.shape[0], profile.b0, dtype=float)
-    for j in range(pts.shape[1]):
-        vals = vals * profile.axis_value(wrapped[:, j])
-    return vals[0] if x.ndim == 1 else vals
+    return _axis_product((x + L / 2) % L - L / 2, profile.b0, float,
+                         lambda j, t: profile.axis_value(t))
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,15 @@ chunks of arrays that keep the bits of one realization at a time.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._accum import (chunk_ranges, fsum_c, fsum_r, fsum_rows, gl_integrate,
                      gl_nodes, run_ordered)
-from .coefficients import bhat_difference_table, psi_hat_vector, _pair_index
+from .coefficients import (_difference_points, _pair_index,
+                           bhat_difference_table, psi_hat_vector)
 from .errors import BudgetError, ConfigError
-from .lattice import (
-    MomentumLattice,
-    ProfileSpec,
-    Wavepacket,
-    dist_to_spectrum,
-    int_box,
-)
+from .lattice import MomentumLattice, ProfileSpec, Wavepacket, dist_to_spectrum
 from .partitions import WeightDistribution
 from .report import BoundReport
 
@@ -53,15 +47,6 @@ class PoissonConfig:
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if self.positions.shape[0] != self.M or self.weights.shape[0] != self.M:
             raise ConfigError("scatterer count does not match positions/weights")
-
-
-@dataclass
-class HamiltonianMatrix:
-    """Dense Hermitian Hamiltonian in the lattice index basis."""
-
-    dim: int
-    entries: np.ndarray
-    lattice: MomentumLattice
 
 
 @dataclass
@@ -124,27 +109,13 @@ def sample_config(lattice: MomentumLattice, dist: WeightDistribution,
 # assembly
 
 
-@lru_cache(maxsize=1)
-def _phase_points(lattice: MomentumLattice):
-    """int_box(d, 2K) / L, the flattened difference window; cached, read-only."""
-    pts = int_box(lattice.d, 2 * lattice.K) / lattice.L
-    pts.setflags(write=False)
-    return pts
-
-
-def _difference_layout(lattice: MomentumLattice):
-    """(phase points of the difference window, the pair index shared with
-    the chain sums); the pair index has one cache, ``_pair_index``'s."""
-    return _phase_points(lattice), _pair_index(lattice)
-
-
 def potential_matrix(config, lattice: MomentumLattice,
                      profile: ProfileSpec) -> np.ndarray:
     """Coupling-free potential matrix V_{pq} = V_hat(p-q) / L^d; for a list of
     configurations, their C-contiguous stack (one exp, a k . y matmul each)."""
     configs = config if isinstance(config, list) else [config]
     btab = bhat_difference_table(profile, lattice)
-    pts, didx = _difference_layout(lattice)
+    pts = _difference_points(lattice)
     # sum_gamma v_gamma exp(-2 pi i k . y_gamma) on the difference window
     S = np.zeros((len(configs), pts.shape[0]), dtype=complex)
     live = [(k, c) for k, c in enumerate(configs) if c.M]
@@ -155,7 +126,7 @@ def potential_matrix(config, lattice: MomentumLattice,
         for k, c in live:
             end += c.M
             S[k] = np.ascontiguousarray(phase[:, end - c.M:end]) @ c.weights
-    W = np.take((btab * S) / lattice.volume, didx, axis=1)
+    W = np.take((btab * S) / lattice.volume, _pair_index(lattice), axis=1)
     return W if isinstance(config, list) else W[0]
 
 
@@ -170,13 +141,12 @@ def _check_matrix(lattice: MomentumLattice, lam: float = 0.0):
 
 def assemble_hamiltonian(config: PoissonConfig, lam: float,
                          lattice: MomentumLattice,
-                         profile: ProfileSpec) -> HamiltonianMatrix:
-    """H = diag(nu) + lam * V_hat(p-q)/L^d on the truncated window."""
+                         profile: ProfileSpec) -> np.ndarray:
+    """The dense Hermitian H = diag(nu) + lam * V_hat(p-q)/L^d on the
+    truncated window, in the lattice index basis."""
     _check_matrix(lattice, lam)
-    return HamiltonianMatrix(
-        dim=lattice.size, lattice=lattice,
-        entries=np.diag(lattice.nu_values.astype(complex))
-        + lam * potential_matrix(config, lattice, profile))
+    return (np.diag(lattice.nu_values.astype(complex))
+            + lam * potential_matrix(config, lattice, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +237,16 @@ def _se_complex(units, mean):
     return math.sqrt(var / n)
 
 
-def map_realizations(n_units, seed, lattice, profile, dist, fn, threads=1,
-                     systems=1) -> np.ndarray:
+def map_realizations(n_units, seed, lattice, profile, dist, fn, free,
+                     threads=1, systems=1) -> np.ndarray:
     """The Monte-Carlo realization pipeline: one result row per realization,
     in index order, as one array.  Realization i is drawn from the stream
-    (seed, i), by one generator per chunk re-keyed to each (seed, i).
-    fn(count, live, W) maps a chunk of count realizations to count rows:
-    live lists the realizations with scatterers, W is their C-contiguous
-    (len(live), N, N) potential stack.  A chunk's (count, systems, N, N)
-    stack stays near CHUNK_BYTES whatever the thread count; threads run
-    whole chunks."""
+    (seed, i), by one generator per chunk re-keyed to each (seed, i).  A
+    realization without scatterers gets the row free; fn(W) maps the
+    C-contiguous (live, N, N) potential stack of a chunk's realizations
+    with scatterers, when it has any, to their rows.  A chunk's
+    (count, systems, N, N) stack stays near CHUNK_BYTES whatever the thread
+    count; threads run whole chunks."""
     _check_matrix(lattice)
     size = max(1, CHUNK_BYTES // (16 * systems * lattice.size**2))
 
@@ -285,8 +255,11 @@ def map_realizations(n_units, seed, lattice, profile, dist, fn, threads=1,
         cfgs = [sample_config(lattice, dist, _rekey(rng, seed, i))
                 for i in range(lo, hi)]
         live = [k for k, cfg in enumerate(cfgs) if cfg.M]
-        return fn(hi - lo, live,
-                  potential_matrix([cfgs[k] for k in live], lattice, profile))
+        rows = np.full((hi - lo,) + np.shape(free), free)
+        if live:
+            rows[live] = fn(potential_matrix([cfgs[k] for k in live],
+                                             lattice, profile))
+        return rows
 
     return np.concatenate(run_ordered(
         [lambda lo=lo, hi=hi: work(lo, hi)
@@ -294,7 +267,7 @@ def map_realizations(n_units, seed, lattice, profile, dist, fn, threads=1,
 
 
 def _result(units, n_samples, seed) -> EstimatorResult:
-    mean = fsum_c(units) / len(units)
+    mean = (fsum_c if np.iscomplexobj(units) else fsum_r)(units) / len(units)
     return EstimatorResult(mean=mean, std_error=_se_complex(units, mean),
                            n_samples=n_samples, seed=seed)
 
@@ -319,13 +292,9 @@ def estimate_partial_term(n, n_samples, z, psi1, psi2, seed, lattice, profile,
         return EstimatorResult(mean=val, std_error=0.0, n_samples=n_samples,
                                seed=seed)
 
-    def chunk(count, live, W):
-        t = np.zeros(count, dtype=complex)
-        t[live] = _chain_terms(W, r0, p1, p2, n, volume)[:, n]
-        return t
-
-    units = map_realizations(n_samples, seed, lattice, profile, dist, chunk,
-                             threads)
+    units = map_realizations(
+        n_samples, seed, lattice, profile, dist,
+        lambda W: _chain_terms(W, r0, p1, p2, n, volume)[:, n], 0j, threads)
     return _result(units, n_samples, seed)
 
 
@@ -376,30 +345,26 @@ def estimate_expectation(n_samples, lams, z, psi1, psi2, seed, lattice,
     powers = {j: np.array([(sign**j, (-lam) ** j) for lam, sign in members]).T
               for j in orders}
 
-    # every realization without scatterers solves diag(nu) - z: once here
-    free = fsum_rows(np.conj(p1) * np.linalg.solve(D - z_eye, p2), volume)
-
-    def chunk(count, live, W):
-        """Every coupling and sign of the live realizations in one stacked
+    def chunk(W):
+        """Every coupling and sign of a potential stack in one stacked
         solve, then the controls and the pair mean in scalar order."""
         A = coefs * W[:, None]  # c V + diag(nu) == diag(nu) + c V, exactly
         A += D
         A -= z_eye
         if not (np.isfinite(A).all() and np.isfinite(p2).all()):
             raise ValueError("array must not contain infs or NaNs")
-        vals = np.full((count, len(coefs)), free)
-        vals[live] = fsum_rows(
+        vals = fsum_rows(
             np.conj(p1) * np.linalg.solve(A, p2[:, None])[..., 0], volume)
         t = _chain_terms(W, r0, p1, p2, orders[-1], volume) if orders else None
         for j in orders:
-            tj = np.zeros_like(vals)  # 0 without scatterers
-            tj[live] = t[:, j, None] * powers[j][0]
-            vals -= powers[j][1] * (tj - controls[j])
+            vals -= powers[j][1] * (t[:, j, None] * powers[j][0] - controls[j])
         return 0.5 * (vals[:, ::2] + vals[:, 1::2]) if antithetic else vals
 
+    # every realization without scatterers has V = 0: its row, once here
+    free = chunk(np.zeros((1,) + D.shape, dtype=complex))[0]
     n_units = n_samples // 2 if antithetic else n_samples
     units = map_realizations(n_units, seed, lattice, profile, dist, chunk,
-                             threads, len(coefs))
+                             free, threads, len(coefs))
     return [_result(units[:, k], n_samples, seed) for k in range(len(lams))]
 
 

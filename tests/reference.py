@@ -24,18 +24,18 @@ from weakdis.lattice import (
     int_box,
     profile_fourier_periodized,
 )
-from weakdis.montecarlo import HamiltonianMatrix, PoissonConfig, _as_hat
+from weakdis.montecarlo import PoissonConfig, _as_hat
 from weakdis.partitions import SetPartition, apply_MA
 
 
-def resolvent_matrix_element(H: HamiltonianMatrix, z, psi1, psi2) -> complex:
-    """<psi1, (H - z)^(-1) psi2> via one dense solve and the discrete
-    Parseval pairing."""
+def resolvent_matrix_element(H: np.ndarray, z, psi1, psi2,
+                             lattice: MomentumLattice) -> complex:
+    """<psi1, (H - z)^(-1) psi2> for the dense Hamiltonian H on lattice, via
+    one dense solve and the discrete Parseval pairing."""
     dist_to_spectrum(z)
-    lattice = H.lattice
     p1 = _as_hat(psi1, lattice)
     p2 = _as_hat(psi2, lattice)
-    A = H.entries - z * np.eye(H.dim)
+    A = H - z * np.eye(lattice.size)
     lu = lu_factor(A)
     x = lu_solve(lu, p2)
     resid = np.linalg.norm(A @ x - p2)

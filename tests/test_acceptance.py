@@ -280,7 +280,7 @@ def test_criterion_9_structural_invariants(capsys, std_lattice,
     for i in range(4):
         cfg = sample_config(std_lattice, rademacher, rng_for(3, i))
         H = assemble_hamiltonian(cfg, 0.7, std_lattice, gauss_profile)
-        dev = float(np.max(np.abs(H.entries - H.entries.conj().T)))
+        dev = float(np.max(np.abs(H - H.conj().T)))
         if dev > 1e-13:
             problems.append(("hermitian", i, dev))
 

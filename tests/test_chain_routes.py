@@ -22,7 +22,6 @@ from weakdis import coefficients as co
 from weakdis import montecarlo
 from weakdis import partitions as pt
 from weakdis._accum import gl_nodes
-from weakdis.montecarlo import _difference_layout
 
 from reference import box_chain_sum, is_crossing
 
@@ -169,8 +168,10 @@ def test_transfer_and_node_tables_are_cached_read_only(std_lattice,
     T = co._transfer_table(std_lattice, btab.tobytes())
     ints = std_lattice.ints
     assert T[3, 11] == btab[co._diff_index(ints[3] - ints[11], std_lattice.K, 1)]
-    # one pair index serves the transfer table and the potential matrices
-    assert _difference_layout(std_lattice)[1] is co._pair_index(std_lattice)
+    # one pair index and one table of difference points serve the chain
+    # sums and the potential matrices
+    assert montecarlo._pair_index is co._pair_index
+    assert montecarlo._difference_points is co._difference_points
     x, w = gl_nodes((0.5, 1.0, 1.5))
     for tab in (T, co._pair_index(std_lattice), x, w):
         assert not tab.flags.writeable
@@ -182,13 +183,14 @@ def test_lattice_keyed_caches_are_bounded(gauss_profile):
     # a study uses one lattice, so the tables of the lattice met before are
     # released when the next one is built, not kept for the process's life
     A = pt.SetPartition(2, ((1, 2),))
-    caches = (co._pair_index, co._transfer_table, montecarlo._phase_points)
+    caches = (co._pair_index, co._transfer_table, co._difference_points)
     released = []
     for K in (5, 6, 7):
         lat = build_lattice(1, 2.0, K)
         btab = co.bhat_difference_table(gauss_profile, lat)
         co._chain_sum(A, lat, btab, (Z,) * 3)
-        tables = _difference_layout(lat) + (co._transfer_table(lat, btab.tobytes()),)
+        tables = (co._difference_points(lat), co._pair_index(lat),
+                  co._transfer_table(lat, btab.tobytes()))
         assert all(ref() is None for ref in released)
         released = [weakref.ref(tab) for tab in tables]
         del tables

@@ -118,6 +118,58 @@ def test_scaling_check(tmp_path, std_model_dict, run_cli):
         0.05 * abs(report["expected"])
 
 
+@pytest.mark.parametrize("lambdas", [[0.01], [0.01, 0.01]],
+                         ids=["one-lambda", "repeated-lambda"])
+def test_scaling_needs_two_distinct_lambdas(lambdas, tmp_path,
+                                            std_model_dict, monkeypatch,
+                                            capsys):
+    # the log-log fit is undefined: --check rejects the config before any
+    # bound is computed, and a run without --check writes a null slope
+    from weakdis import bounds
+
+    study = {"kind": "scaling", "n": 2, "eps": 0.5, "E": 1.0,
+             "lambdas": lambdas}
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    out = tmp_path / "out"
+    rhs = bounds.main_error_bound_rhs
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before checking the config")
+
+    monkeypatch.setattr(bounds, "main_error_bound_rhs", no_work)
+    code = cli.main(["scaling", "--config", str(cfg), "--out", str(out),
+                     "--check"])
+    assert code == 2 and "lambdas" in capsys.readouterr().err
+    assert not (out / "scaling.json").exists()
+    monkeypatch.setattr(bounds, "main_error_bound_rhs", rhs)
+    assert cli.main(["scaling", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+    assert json.loads((out / "scaling.json").read_text())["slope"] is None
+
+
+def test_partitions_work_is_budgeted_before_enumeration(tmp_path,
+                                                       std_model_dict,
+                                                       monkeypatch, capsys):
+    # n_max 7 visits about 1.8e8 label tuples (minutes): the count is over
+    # the budget, so the study exits 3 before it builds any partition
+    import time
+
+    from weakdis import partitions
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumerated before checking the budget")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", no_work)
+    study = {"kind": "partitions", "n_max": 7, "M_max": 5, "bell_max": 10}
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    t0 = time.monotonic()
+    code = cli.main(["partitions", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")])
+    assert code == 3 and "partitions" in capsys.readouterr().err
+    assert time.monotonic() - t0 < 1.0
+    assert not (tmp_path / "o" / "partitions.csv").exists()
+
+
 def test_partitions_check(tmp_path, std_model_dict, run_cli):
     study = {"kind": "partitions", "n_max": 3, "M_max": 3, "bell_max": 8}
     cfg = write_config(tmp_path / "c.json", std_model_dict, study)
@@ -199,16 +251,25 @@ def _moments_law(moments):
     (_moments_law([math.nan]), {"kind": "expand", "n_max": 1},
      "model.weights.moments"),
     ({}, {"kind": "dos", "seed": 5, "chi": 3}, "study.chi"),
+    ({}, {"kind": "bounds", "d_grid": [4]}, "study.d_grid"),
+    ({}, {"kind": "bounds", "d_grid": [1, 0]}, "study.d_grid"),
+    ({}, {"kind": "bounds", "L_grid": [0]}, "study.L_grid"),
+    ({}, {"kind": "bounds", "L_grid": [-2]}, "study.L_grid"),
+    ({}, {"kind": "scaling", "lambdas": [0.1, -0.01]}, "study.lambdas"),
+    ({}, {"kind": "scaling", "eps": 3}, "study.eps"),
+    ({}, {"kind": "scaling", "eps": 0}, "study.eps"),
 ], ids=["K-fraction", "d-bool", "lambdas-string", "lambdas-string-entry",
         "seed-fraction", "orders-fraction", "n_max-string", "z-string",
         "d_grid-fraction", "bell_max-fraction", "L-string", "eta-nan",
         "lambdas-nan-entry", "antithetic-string", "moments-string",
-        "moments-nan", "chi-not-a-mapping"])
+        "moments-nan", "chi-not-a-mapping", "d_grid-4", "d_grid-0",
+        "L_grid-0", "L_grid-negative", "scaling-negative-lambda",
+        "scaling-eps-3", "scaling-eps-0"])
 def test_exit_2_config_numbers_are_not_coerced(model, study, key, tmp_path,
                                                std_model_dict, capsys):
     # a fractional integer is not truncated, a string is not parsed, a
-    # string is no bool; run in-process, since each case stops at its
-    # config check
+    # string is no bool, and a number outside its key's range is rejected;
+    # run in-process, since each case stops at its config check
     cfg = write_config(tmp_path / "c.json", dict(std_model_dict, **model),
                        study)
     code = cli.main([study["kind"], "--config", str(cfg),
@@ -471,7 +532,7 @@ def test_only_expand_computes_truncation_tails(tmp_path, std_model_dict,
 def test_expand_rejects_empty_or_negative_orders(tmp_path, std_model_dict,
                                                  run_cli):
     for i, study in enumerate([{"n_max": -1}, {"orders": []},
-                               {"orders": [-1]}]):
+                               {"orders": [-1]}, {"z": []}]):
         cfg = write_config(tmp_path / f"c{i}.json", std_model_dict,
                            {"kind": "expand", **study})
         proc = run_cli("expand", cfg, tmp_path / f"o{i}", "--check")

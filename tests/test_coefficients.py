@@ -211,19 +211,20 @@ def test_imag_sign_flip_conjugates(std_lattice, gauss_profile, rademacher,
 
 def test_cached_tables_are_read_only(std_lattice, gauss_profile, psi_pair):
     from weakdis.bounds import _big_window_data
-    from weakdis.coefficients import bhat_difference_table, psi_hat_vector
-    from weakdis.montecarlo import _difference_layout
+    from weakdis.coefficients import (_difference_points, _pair_index,
+                                      bhat_difference_table, psi_hat_vector)
 
     tables = [bhat_difference_table(gauss_profile, std_lattice),
               psi_hat_vector(psi_pair[0], std_lattice), std_lattice.ints,
-              *_difference_layout(std_lattice),
+              _difference_points(std_lattice), _pair_index(std_lattice),
               *_big_window_data(gauss_profile, 1, 2.0, 64, False)]
     for tab in tables:
         assert not tab.flags.writeable
     # a second call hands back the cached object, not a rebuilt copy
     assert bhat_difference_table(gauss_profile, std_lattice) is tables[0]
     assert psi_hat_vector(psi_pair[0], std_lattice) is tables[1]
-    assert _difference_layout(std_lattice)[1] is tables[4]
+    assert _difference_points(std_lattice) is tables[3]
+    assert _pair_index(std_lattice) is tables[4]
 
 
 def test_truncation_tail_envelope_sums_are_built_once(psi_pair, gauss_profile,

@@ -236,7 +236,7 @@ def test_mc_stacked_eigvalsh_equals_per_matrix(threads, std_lattice,
         cfg = sample_config(std_lattice, rademacher, rng_for(5, i))
         H = montecarlo.assemble_hamiltonian(cfg, 0.05, std_lattice,
                                             gauss_profile)
-        mu = np.linalg.eigvalsh(H.entries)
+        mu = np.linalg.eigvalsh(H)
         units.append(montecarlo._trace_from_eigs(mu, chi, 0.1,
                                                  std_lattice.volume, a, b))
     assert est.mean == fsum_r(units) / 10

@@ -11,7 +11,6 @@ import pytest
 from weakdis import (
     BudgetError,
     ConfigError,
-    HamiltonianMatrix,
     PoissonConfig,
     ProfileSpec,
     Wavepacket,
@@ -78,17 +77,17 @@ def test_hamiltonian_hermitian(std_lattice, gauss_profile, rademacher):
     for idx in range(4):
         cfg = sample_config(std_lattice, rademacher, rng_for(3, idx))
         H = assemble_hamiltonian(cfg, 0.7, std_lattice, gauss_profile)
-        scale = max(1.0, float(np.abs(H.entries).max()))
-        assert np.abs(H.entries - H.entries.conj().T).max() / scale <= 1e-13
-        assert H.dim == std_lattice.size
+        scale = max(1.0, float(np.abs(H).max()))
+        assert np.abs(H - H.conj().T).max() / scale <= 1e-13
+        assert H.shape == (std_lattice.size,) * 2
 
 
 def test_zero_coupling_hamiltonian_is_diagonal(std_lattice, gauss_profile,
                                                rademacher):
     cfg = sample_config(std_lattice, rademacher, rng_for(3, 1))
     H = assemble_hamiltonian(cfg, 0.0, std_lattice, gauss_profile)
-    assert np.array_equal(np.diag(H.entries).real, std_lattice.nu_values)
-    assert np.count_nonzero(H.entries - np.diag(np.diag(H.entries))) == 0
+    assert np.array_equal(np.diag(H).real, std_lattice.nu_values)
+    assert np.count_nonzero(H - np.diag(np.diag(H))) == 0
 
 
 def test_potential_fourier_matches_position_sum(std_lattice, gauss_profile,
@@ -133,12 +132,12 @@ def test_resolvent_solve_matches_dense_inverse(std_lattice, gauss_profile,
     psi1, psi2 = psi_pair
     cfg = sample_config(std_lattice, rademacher, rng_for(9, 2))
     H = assemble_hamiltonian(cfg, 0.5, std_lattice, gauss_profile)
-    got = resolvent_matrix_element(H, Z, psi1, psi2)
+    got = resolvent_matrix_element(H, Z, psi1, psi2, std_lattice)
     p1 = wavepacket_fourier_periodized(psi1, std_lattice.points,
                                        std_lattice.L)
     p2 = wavepacket_fourier_periodized(psi2, std_lattice.points,
                                        std_lattice.L)
-    dense = np.linalg.inv(H.entries - Z * np.eye(H.dim))
+    dense = np.linalg.inv(H - Z * np.eye(std_lattice.size))
     expected = np.vdot(p1, dense @ p2) / std_lattice.volume
     assert got == pytest.approx(expected, rel=1e-11)
 
@@ -149,7 +148,7 @@ def test_resolvent_rejects_real_z(std_lattice, gauss_profile, rademacher,
     cfg = sample_config(std_lattice, rademacher, rng_for(9, 2))
     H = assemble_hamiltonian(cfg, 0.5, std_lattice, gauss_profile)
     with pytest.raises(ConfigError):
-        resolvent_matrix_element(H, 1.0 + 0.0j, psi1, psi2)
+        resolvent_matrix_element(H, 1.0 + 0.0j, psi1, psi2, std_lattice)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -306,9 +305,7 @@ def _stacked_unit_mismatches(threads, antithetic, controlled):
                 H = np.diag(nu_c)
                 if V is not None:
                     H = H + (sign * lam) * V
-                val = resolvent_matrix_element(
-                    HamiltonianMatrix(lattice.size, H, lattice), Z, psi1,
-                    psi2)
+                val = resolvent_matrix_element(H, Z, psi1, psi2, lattice)
                 for j, T in controls.items():
                     tj = 0.0 if V is None else sign**j * t[j]
                     val -= (-lam) ** j * (tj - T)
@@ -317,6 +314,35 @@ def _stacked_unit_mismatches(threads, antithetic, controlled):
             if got[k][i] != want:
                 bad.append((i, lam))
     return bad, empty
+
+
+def test_map_realizations_hands_fn_only_live_stacks(std_lattice,
+                                                    gauss_profile,
+                                                    rademacher, monkeypatch):
+    # a chunk without a realization with scatterers never reaches fn, and
+    # fn sees the potentials of exactly a chunk's live realizations
+    model = (std_lattice, gauss_profile, rademacher)
+    cfgs = [sample_config(std_lattice, rademacher, rng_for(7, i))
+            for i in range(16)]
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(montecarlo, "CHUNK_BYTES",
+                            16 * std_lattice.size**2 * per_chunk)
+        stacks = []
+
+        def fn(W):
+            stacks.append(W)
+            return np.full(len(W), float(len(stacks)))
+
+        rows = montecarlo.map_realizations(16, 7, *model, fn, 0.0)
+        chunks = [[i for i in range(lo, min(lo + per_chunk, 16)) if cfgs[i].M]
+                  for lo in range(0, 16, per_chunk)]
+        live = [idx for idx in chunks if idx]
+        assert len(live) < len(chunks)  # seed 7 draws an empty chunk
+        assert len(stacks) == len(live)
+        for W, idx in zip(stacks, live):
+            assert np.array_equal(W, potential_matrix(
+                [cfgs[i] for i in idx], std_lattice, gauss_profile))
+        assert [r != 0.0 for r in rows] == [c.M > 0 for c in cfgs]
 
 
 def test_stacked_solves_equal_per_matrix_lu():
