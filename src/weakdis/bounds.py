@@ -298,9 +298,10 @@ def _weighted_square_sum(E, tau, eta, d, L, X):
     total = fsum_r([math.fsum(r.tolist()) for r in vals.reshape(side2.size, -1)])
     if (X / L) ** 2 < 2.0 * E + 1.0:
         raise ConfigError("window too small for the remainder estimate")
-    # shells ||m||_inf = s > X: a^2 >= (s/L)^2 >= 2E so (a^2-E)^2 >= a^4/4
+    # shells ||m||_inf = s > X: a^2 >= (s/L)^2 >= 2E so (a^2-E)^2 >= a^4/4,
+    # <a>^tau <= 2^(tau/2) (s/L)^tau; 2d(3s)^(d-1) points per shell
     rem = (8.0 * d * 3.0 ** (d - 1) * 2.0 ** (tau / 2.0)
-           * L ** (4.0 - tau - d) * X ** (d + tau - 4.0) / (4.0 - d - tau))
+           * L ** (4.0 - tau) * X ** (d + tau - 4.0) / (4.0 - d - tau))
     return (total + rem) / L**d
 
 

@@ -2,10 +2,12 @@
 
 One structured JSON config drives each study.  It is checked once, when
 loaded, against one schema (``_CONFIG``: every block's keys with their
-types and defaults); unknown keys and ill-typed values are errors.
-Outputs are CSV tables (17 significant digits) and JSON reports (sorted
-keys, no timestamps), so identical configs produce byte-identical files
-at any thread count.
+types, ranges and defaults); unknown keys, ill-typed values and values
+out of range are errors.  A study returns its files and the first
+acceptance condition that failed; ``main`` writes the files and, under
+--check, turns that failure into exit 4.  Outputs are CSV tables (17
+significant digits) and JSON reports (sorted keys, no timestamps), so
+identical configs produce byte-identical files at any thread count.
 
 Exit codes: 0 success, 1 internal error, 2 config error, 3 budget
 exceeded, 4 check failure in --check mode.
@@ -14,6 +16,7 @@ exceeded, 4 check failure in --check mode.
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -39,10 +42,6 @@ from .report import BoundReport, holds
 MAX_LABEL_TUPLES = 10_000_000  # the partitions study's loops, ~3 us each
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _number(value, where, integral=False, within=(-math.inf, math.inf)):
     """A finite config number inside the open interval within, never parsed
     from a string nor truncated: a bool, a string, NaN, inf, a fraction for
@@ -65,9 +64,23 @@ def _numbers(value, where, **kind) -> list:
     return [_number(v, where, **kind) for v in value]
 
 
+def _rule(check, ok, what):
+    """The checker check, with a checked value for which ok is false a
+    ConfigError: the value must be what."""
+    def checked(value, where):
+        value = check(value, where)
+        if not ok(value):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return value
+    return checked
+
+
 _int = functools.partial(_number, integral=True)
 _ints = functools.partial(_numbers, integral=True)
+_count = functools.partial(_int, within=(-1, math.inf))  # >= 0
+_positive = functools.partial(_number, within=(0, math.inf))
 _positives = functools.partial(_numbers, within=(0, math.inf))
+_nonempty = functools.partial(_rule, ok=bool, what="non-empty")
 
 
 def _pairs(value, where):
@@ -125,34 +138,42 @@ _MODEL = {
                  "moments": (_numbers, _ABSENT)}, {}),
     "psi1": (_PSI, {}), "psi2": (_PSI, {}),
 }
+_samples = functools.partial(_int, within=(1, math.inf))  # >= 2
+_ground_set = functools.partial(  # <= MAX_GROUND_SET
+    _int, within=(-math.inf, pt.MAX_GROUND_SET + 1))
 _STUDY = {
-    "expand": {"n_max": (_int, 2), "orders": (_ints, _ABSENT),  # 0..n_max
-               "z": (_pairs, [[1.0, 0.3]]),
+    "expand": {"n_max": (_count, 2),  # orders absent: 0..n_max
+               "orders": (_nonempty(functools.partial(
+                   _ints, within=(-1, math.inf))), _ABSENT),
+               "z": (_nonempty(_pairs), [[1.0, 0.3]]),
                "budget": (_int, coeff.DEFAULT_TERM_BUDGET)},
     "mc-validate": {
-        "n_keep": (_int, 2), "eta": (_number, 0.3), "E": (_number, 1.0),
-        "lambdas": (_numbers, [0.1, 0.05, 0.025]), "n_samples": (_int, 20000),
-        "seed": (_int, _REQUIRED), "antithetic": (bool, True),
-        "control_orders": (_ints, [1, 2, 3])},
+        "n_keep": (_count, 2), "eta": (_positive, 0.3), "E": (_positive, 1.0),
+        "lambdas": (_nonempty(_numbers), [0.1, 0.05, 0.025]),
+        "n_samples": (_samples, 20000), "seed": (_int, _REQUIRED),
+        "antithetic": (bool, True),
+        "control_orders": (functools.partial(_ints, within=(0, 5)),
+                           [1, 2, 3])},
     "dos": {
-        "lam": (_number, 0.05), "eps": (_number, 0.5),
+        "lam": (_rule(_number, lambda v: v >= 0, ">= 0"), 0.05),
+        "eps": (_number, 0.5),
         "eta": (lambda v, where: v if v is None else _number(v, where),
                 None),  # null: lam^(2 - eps)
-        "order": (_int, 2),
+        "order": (_count, 2),
         "chi": ({"center": (_number, 1.0), "width": (_number, 0.5)}, {}),
-        "n_samples": (_int, 400), "seed": (_int, _REQUIRED),
+        "n_samples": (_samples, 400), "seed": (_int, _REQUIRED),
         "check_routes": (bool, True)},
     "bounds": {
-        "E_grid": (_numbers, [0.5, 1.0, 2.0]),
-        "eta_grid": (_numbers, [1e-3, 1e-2, 0.1, 1.0]),
+        "E_grid": (_positives, [0.5, 1.0, 2.0]),
+        "eta_grid": (_positives, [1e-3, 1e-2, 0.1, 1.0]),
         "L_grid": (_positives, [1, 2, 4, 8]),
         "d_grid": (functools.partial(_ints, within=(0, 4)), [1, 2]),
         "seed": (_int, 1), "truncated_transform": (bool, False)},
-    "scaling": {"n": (_int, 2), "E": (_number, 1.0),
+    "scaling": {"n": (_count, 2), "E": (_positive, 1.0),
                 "eps": (functools.partial(_number, within=(0, 2)), 0.5),
                 "lambdas": (_positives, list(np.geomspace(1e-3, 1e-1, 9)))},
-    "partitions": {"n_max": (_int, 4), "M_max": (_int, 5),
-                   "bell_max": (_int, 10)},
+    "partitions": {"n_max": (_ground_set, 4), "M_max": (_int, 5),
+                   "bell_max": (_ground_set, 10)},
 }
 STUDIES = tuple(_STUDY)
 
@@ -200,83 +221,79 @@ def build_model(model: dict):
 
 def _model_meta(lattice, profile, dist) -> dict:
     """The built model's parameters, as the result files record them."""
-    return {
-        "d": lattice.d,
-        "L": lattice.L,
-        "K": lattice.K,
-        "profile_kind": profile.kind,
-        "profile_b0": profile.b0,
-        "profile_param": (profile.sigma if profile.kind == "gaussian"
-                          else profile.r),
-        "weights": dist.kind,
-    }
+    return {"d": lattice.d, "L": lattice.L, "K": lattice.K,
+            "profile_kind": profile.kind, "profile_b0": profile.b0,
+            "profile_param": (profile.sigma if profile.kind == "gaussian"
+                              else profile.r),
+            "weights": dist.kind}
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: str, obj):
-    # strict JSON: a NaN or an infinity raises here instead of being written
-    text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
-    with open(path, "w", newline="") as fh:
-        fh.write(text + "\n")
-
-
-def _meta_cols(meta: dict):
+def _with_model(rows, meta):
+    """CSV rows (header first) with the model's columns appended, in
+    sorted key order."""
     keys = sorted(meta)
-    return keys, [str(meta[k]) if isinstance(meta[k], str) else _fmt(meta[k])
-                  if isinstance(meta[k], float) else str(meta[k])
-                  for k in keys]
+    return [rows[0] + keys] + [row + [meta[k] for k in keys]
+                               for row in rows[1:]]
+
+
+def _first_failure(*checks):
+    """The message of the first (holds, message) check that fails, or
+    None."""
+    return next((message for ok, message in checks if not ok), None)
+
+
+def _write(path: str, content):
+    """One study file: CSV rows (header first; a float cell written with 17
+    significant digits, any other cell by ``str``) or a strict JSON dict
+    (sorted keys; a NaN or an infinity raises here instead of being
+    written)."""
+    if isinstance(content, dict):
+        text = json.dumps(content, sort_keys=True, indent=1,
+                          allow_nan=False) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            ["%.17g" % v if isinstance(v, float) else str(v) for v in row]
+            for row in content)
+        text = buf.getvalue()
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
-# studies
+# studies: each returns ({file name: CSV rows or JSON dict}, the message of
+# the first failed acceptance condition or None)
 
 
-def cmd_expand(cfg, out_dir, threads, check):
+def cmd_expand(cfg, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
-    orders = (study["orders"] if "orders" in study
-              else list(range(study["n_max"] + 1)))
-    zs = [complex(*p) for p in study["z"]]
-    if not orders or not zs or min(orders) < 0:
-        raise ConfigError("expand needs an order and a z, and no negative order")
+    orders = study.get("orders", list(range(study["n_max"] + 1)))
     per_partition = cfg["output"]["per_partition"]
 
-    meta = _model_meta(lattice, profile, dist)
-    mkeys, mvals = _meta_cols(meta)
-    rows = []
-    part_rows = []
-    for z in zs:
+    rows = [["n", "Re(z)", "Im(z)", "Re(T)", "Im(T)", "partition_count",
+             "tail_bound"]]
+    part_rows = [["n", "Re(z)", "Im(z)", "blocks", "Re(C)", "Im(C)"]]
+    for z in (complex(*p) for p in study["z"]):
         for n in orders:
             res = coeff.coefficient_T(n, lattice, profile, dist, z, psi1,
                                       psi2, per_partition=per_partition,
                                       budget=study["budget"])
             tail = coeff.truncation_tail_bound(n, lattice, profile, dist, z,
                                                psi1, psi2)
-            rows.append([str(n), _fmt(z.real), _fmt(z.imag),
-                         _fmt(res.value.real), _fmt(res.value.imag),
-                         str(res.partition_count), _fmt(tail)] + mvals)
-            if per_partition:
-                for blocks, val in res.per_partition.items():
-                    label = "|".join("".join(str(x) for x in b)
-                                     for b in blocks) or "-"
-                    part_rows.append([str(n), _fmt(z.real), _fmt(z.imag),
-                                      label, _fmt(val.real), _fmt(val.imag)])
-    header = ["n", "Re(z)", "Im(z)", "Re(T)", "Im(T)", "partition_count",
-              "tail_bound"] + mkeys
-    _write_csv(os.path.join(out_dir, "expand.csv"), header, rows)
+            rows.append([n, z.real, z.imag, res.value.real, res.value.imag,
+                         res.partition_count, tail])
+            for blocks, val in (res.per_partition or {}).items():
+                label = "|".join("".join(map(str, b)) for b in blocks) or "-"
+                part_rows.append([n, z.real, z.imag, label, val.real,
+                                  val.imag])
+    meta = _model_meta(lattice, profile, dist)
+    files = {"expand.csv": _with_model(rows, meta)}
     if per_partition:
-        _write_csv(os.path.join(out_dir, "expand_partitions.csv"),
-                   ["n", "Re(z)", "Im(z)", "blocks", "Re(C)", "Im(C)"],
-                   part_rows)
-    _write_json(os.path.join(out_dir, "expand.json"),
-                {"rows": len(rows), "orders": orders, "model": meta})
-    return 0
+        files["expand_partitions.csv"] = part_rows
+    files["expand.json"] = {"rows": len(rows) - 1, "orders": orders,
+                            "model": meta}
+    return files, None
 
 
 def _fit_loglog(lams, values, sigmas):
@@ -298,89 +315,64 @@ def _fit_loglog(lams, values, sigmas):
     return slope, intercept, math.sqrt(var)
 
 
-def cmd_mc_validate(cfg, out_dir, threads, check):
+def cmd_mc_validate(cfg, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
     n_keep, eta, E = study["n_keep"], study["eta"], study["E"]
     lams, n_samples, seed = study["lambdas"], study["n_samples"], study["seed"]
     control_orders = study["control_orders"]
-    if n_keep < 0 or not all(1 <= j <= 4 for j in control_orders):
-        raise ConfigError("n_keep must be >= 0 and every control order in 1..4")
     if check and len({lam for lam in lams if lam > 0}) < 2:
         raise ConfigError("--check needs two distinct positive lambdas")
     z = complex(E, eta)
 
-    max_order = max([n_keep] + control_orders)
-    T = {}
-    for j in range(max_order + 1):
-        T[j] = coeff.coefficient_T(j, lattice, profile, dist, z, psi1,
-                                   psi2).value
-    controls = {j: T[j] for j in control_orders}
-
-    meta = _model_meta(lattice, profile, dist)
-    mkeys, mvals = _meta_cols(meta)
-    rows = []
-    report_rows = []
-    residuals = []
-    sigmas = []
-    all_bounded = True
+    T = [coeff.coefficient_T(j, lattice, profile, dist, z, psi1, psi2).value
+         for j in range(max([n_keep] + control_orders) + 1)]
     ests = mc.estimate_expectation(
         n_samples, lams, z, psi1, psi2, seed, lattice, profile, dist,
         threads=threads, antithetic=study["antithetic"],
-        control_values=controls)
+        control_values={j: T[j] for j in control_orders})
+    rows = [["lambda", "Re(E_MC)", "Im(E_MC)", "Re(partial)", "Im(partial)",
+             "residual", "std_error", "rhs_bound", "bounded", "n_samples",
+             "seed"]]
+    report_rows = []
     for lam, est in zip(lams, ests):
         partial = sum((-lam) ** j * T[j] for j in range(n_keep + 1))
         residual = abs(est.mean - partial)
         rhs = bnd.main_error_bound_rhs(n_keep, lattice.d, E, eta, lam,
                                        profile, dist, psi1, psi2)
         ok = holds(residual, rhs + 3.0 * est.std_error)
-        all_bounded = all_bounded and ok
-        residuals.append(residual)
-        sigmas.append(est.std_error)
-        rows.append([_fmt(lam), _fmt(est.mean.real), _fmt(est.mean.imag),
-                     _fmt(partial.real), _fmt(partial.imag), _fmt(residual),
-                     _fmt(est.std_error), _fmt(rhs), str(ok),
-                     str(n_samples), str(seed)] + mvals)
+        rows.append([lam, est.mean.real, est.mean.imag, partial.real,
+                     partial.imag, residual, est.std_error, rhs, ok,
+                     n_samples, seed])
         report_rows.append({"lambda": lam, "residual": residual,
                             "std_error": est.std_error, "rhs": rhs,
                             "bounded": ok})
 
-    slope, intercept, slope_se = _fit_loglog(lams, residuals, sigmas)
+    slope, intercept, slope_se = _fit_loglog(
+        lams, [r["residual"] for r in report_rows],
+        [r["std_error"] for r in report_rows])
     expected = n_keep + 2  # next order with a nonvanishing moment weight
-    header = ["lambda", "Re(E_MC)", "Im(E_MC)", "Re(partial)", "Im(partial)",
-              "residual", "std_error", "rhs_bound", "bounded", "n_samples",
-              "seed"] + mkeys
-    _write_csv(os.path.join(out_dir, "mc_validate.csv"), header, rows)
-    report = {
-        "slope": slope,
-        "slope_se": slope_se,
-        "slope_ci95": None if slope_se is None else 1.96 * slope_se,
-        "expected_slope": expected,
-        "intercept": intercept,
-        "n_keep": n_keep,
-        "eta": eta,
-        "rows": report_rows,
-        "model": meta,
-        "all_bounded": all_bounded,
-    }
-    _write_json(os.path.join(out_dir, "mc_validate.json"), report)
-    if check:
-        if not holds(None if slope is None else abs(slope - expected), 0.5):
-            shown = ("undefined" if slope is None
-                     else f"{slope:.3f} (fit s.e. {slope_se:.3g})")
-            raise CheckFailure(
-                f"residual scaling slope {shown} outside {expected} +- 0.5")
-        if not all_bounded:
-            raise CheckFailure("a residual exceeded the bound + 3 sigma")
-    return 0
+    all_bounded = all(r["bounded"] for r in report_rows)
+    meta = _model_meta(lattice, profile, dist)
+    report = {"slope": slope, "slope_se": slope_se,
+              "slope_ci95": None if slope_se is None else 1.96 * slope_se,
+              "expected_slope": expected, "intercept": intercept,
+              "n_keep": n_keep, "eta": eta, "rows": report_rows,
+              "model": meta, "all_bounded": all_bounded}
+    shown = ("undefined" if slope is None
+             else f"{slope:.3f} (fit s.e. {slope_se:.3g})")
+    return ({"mc_validate.csv": _with_model(rows, meta),
+             "mc_validate.json": report},
+            _first_failure(
+                (holds(None if slope is None else abs(slope - expected), 0.5),
+                 f"residual scaling slope {shown} outside {expected} +- 0.5"),
+                (all_bounded, "a residual exceeded the bound + 3 sigma")))
 
 
-def cmd_dos(cfg, out_dir, threads, check):
+def cmd_dos(cfg, threads, check):
     lattice, profile, dist, _, _ = build_model(cfg["model"])
     study = cfg["study"]
     lam, eps, order = study["lam"], study["eps"], study["order"]
-    if order < 0:
-        raise ConfigError("order must be nonnegative")
     chi = dosmod.ChiBump(**study["chi"])
     n_samples, seed = study["n_samples"], study["seed"]
     check_routes = study["check_routes"]
@@ -405,37 +397,21 @@ def cmd_dos(cfg, out_dir, threads, check):
     agree = holds(gap, tol)
 
     meta = _model_meta(lattice, profile, dist)
-    mkeys, mvals = _meta_cols(meta)
-    csv_rows = []
-    for row in rows:
-        csv_rows.append([str(row["n"]), str(row["E"]), _fmt(row["eta"]),
-                         _fmt(row["value"]), _fmt(row["tail_bound"])] + mvals)
-    _write_csv(os.path.join(out_dir, "dos.csv"),
-               ["n", "E", "eta", "value", "tail_bound"] + mkeys, csv_rows)
-    report = {
-        "expansion_total": total,
-        "mc_mean": est.mean,
-        "mc_std_error": est.std_error,
-        "n_samples": n_samples,
-        "seed": seed,
-        "gap": gap,
-        "tolerance": tol,
-        "remainder_scale": surrogate,
-        "agreement": agree,
-        "route_max_diff": route_diff,
-        "eta": eta_used,
-        "order_cap": meta_exp["order_cap"],
-        "capped": order > meta_exp["order_cap"],
-        "model": meta,
-    }
-    _write_json(os.path.join(out_dir, "dos.json"), report)
-    if check:
-        if not agree:
-            raise CheckFailure(
-                f"expansion-vs-MC gap {gap:.3e} over tolerance {tol:.3e}")
-        if check_routes and not holds(route_diff, 1e-8):
-            raise CheckFailure(f"trace route difference {route_diff:.3e}")
-    return 0
+    cols = ["n", "E", "eta", "value", "tail_bound"]
+    table = [cols] + [[row[c] for c in cols] for row in rows]
+    report = {"expansion_total": total, "mc_mean": est.mean,
+              "mc_std_error": est.std_error, "n_samples": n_samples,
+              "seed": seed, "gap": gap, "tolerance": tol,
+              "remainder_scale": surrogate, "agreement": agree,
+              "route_max_diff": route_diff, "eta": eta_used,
+              "order_cap": meta_exp["order_cap"],
+              "capped": order > meta_exp["order_cap"], "model": meta}
+    return ({"dos.csv": _with_model(table, meta), "dos.json": report},
+            _first_failure(
+                (agree, f"expansion-vs-MC gap {gap:.3e} over tolerance "
+                        f"{tol:.3e}"),
+                (not check_routes or holds(route_diff, 1e-8),
+                 f"trace route difference {route_diff:.3e}")))
 
 
 def _bound_rows(cfg):
@@ -473,61 +449,48 @@ def _bound_rows(cfg):
     return reports
 
 
-def cmd_bounds(cfg, out_dir, threads, check):
-    rows = []
-    failures = []
-    for rep in _bound_rows(cfg):
-        rows.append([rep.name, _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.margin),
-                     str(rep.passed), rep.notes,
-                     json.dumps(rep.context, sort_keys=True, default=str)])
-        if not rep.passed:
-            failures.append(rep)
-    _write_csv(os.path.join(out_dir, "bounds.csv"),
-               ["name", "lhs", "rhs", "margin", "passed", "notes",
-                "context"], rows)
-    _write_json(os.path.join(out_dir, "bounds.json"),
-                {"checks": len(rows), "failures": [f.name for f in failures]})
-    if check and failures:
-        rep = failures[0]
-        raise CheckFailure(
-            f"bound check {rep.name} failed: lhs={rep.lhs:.6g} "
-            f"rhs={rep.rhs:.6g} at {rep.context}")
-    return 0
+def cmd_bounds(cfg, threads, check):
+    reports = _bound_rows(cfg)
+    rows = [["name", "lhs", "rhs", "margin", "passed", "notes", "context"]]
+    rows += [[rep.name, rep.lhs, rep.rhs, rep.margin, rep.passed, rep.notes,
+              json.dumps(rep.context, sort_keys=True, default=str)]
+             for rep in reports]
+    return ({"bounds.csv": rows,
+             "bounds.json": {"checks": len(reports), "failures": [
+                 rep.name for rep in reports if not rep.passed]}},
+            _first_failure(*((rep.passed, f"bound check {rep.name} failed: "
+                              f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} at "
+                              f"{rep.context}") for rep in reports)))
 
 
-def cmd_scaling(cfg, out_dir, threads, check):
+def cmd_scaling(cfg, threads, check):
     lattice, profile, dist, psi1, psi2 = build_model(cfg["model"])
     study = cfg["study"]
     n, eps, E, lams = study["n"], study["eps"], study["E"], study["lambdas"]
     if check and len(set(lams)) < 2:
         raise ConfigError("--check needs two distinct lambdas")
 
-    rows = []
-    values = []
+    rows = [["lambda", "eta", "rhs", "rhs_div_log"]]
     for lam in lams:
         eta = lam ** (2.0 - eps)
         rhs = bnd.main_error_bound_rhs(n, lattice.d, E, eta, lam, profile,
                                        dist, psi1, psi2)
-        divided = rhs / (1.0 + math.log(1.0 / eta + 1.0)) ** n
-        values.append(divided)
-        rows.append([_fmt(lam), _fmt(eta), _fmt(rhs), _fmt(divided)])
-    slope, _, _ = _fit_loglog(lams, values, [0.0] * len(values))
+        rows.append([lam, eta, rhs,
+                     rhs / (1.0 + math.log(1.0 / eta + 1.0)) ** n])
+    slope, _, _ = _fit_loglog(lams, [row[3] for row in rows[1:]],
+                              [0.0] * len(lams))
     expected = bnd.scaling_exponent(n, eps)
     within = expected != 0 and holds(
         None if slope is None else abs(slope / expected - 1.0), 0.05)
-    _write_csv(os.path.join(out_dir, "scaling.csv"),
-               ["lambda", "eta", "rhs", "rhs_div_log"], rows)
-    _write_json(os.path.join(out_dir, "scaling.json"),
-                {"slope": slope, "expected": expected,
-                 "within_5pct": within, "n": n, "eps": eps})
-    if check and not within:
-        shown = "undefined" if slope is None else f"{slope:.4f}"
-        raise CheckFailure(
-            f"scaling slope {shown} deviates from {expected:.4f}")
-    return 0
+    shown = "undefined" if slope is None else f"{slope:.4f}"
+    return ({"scaling.csv": rows,
+             "scaling.json": {"slope": slope, "expected": expected,
+                              "within_5pct": within, "n": n, "eps": eps}},
+            _first_failure((within, f"scaling slope {shown} deviates from "
+                                    f"{expected:.4f}")))
 
 
-def cmd_partitions(cfg, out_dir, threads, check):
+def cmd_partitions(cfg, threads, check):
     study = cfg["study"]
     n_max, M_max, bell_max = study["n_max"], study["M_max"], study["bell_max"]
     _, _, dist, _, _ = build_model(cfg["model"])
@@ -538,37 +501,26 @@ def cmd_partitions(cfg, out_dir, threads, check):
         raise BudgetError(f"partitions: n_max {n_max} and M_max {M_max} "
                           f"visit over {MAX_LABEL_TUPLES:.3g} label tuples")
 
-    rows = []
-    ok_all = True
+    rows = [["check", "n", "M", "result"]]
     for n in range(1, n_max + 1):
         parts = list(pt.enumerate_partitions(n))
         for M in range(1, M_max + 1):
-            unity_ok = True
-            for gamma in product(range(M), repeat=n):
-                total = sum(pt.chi_tilde(A, gamma) for A in parts)
-                if total != 1:
-                    unity_ok = False
-                    break
-            rows.append(["partition_of_unity", str(n), str(M), str(unity_ok)])
+            unity_ok = all(sum(pt.chi_tilde(A, gamma) for A in parts) == 1
+                           for gamma in product(range(M), repeat=n))
             count_ok = all(pt.permutation_count_check(A, M).passed
                            for A in parts)
-            rows.append(["counting_identity", str(n), str(M), str(count_ok)])
-            ok_all = ok_all and unity_ok and count_ok
+            rows += [["partition_of_unity", n, M, unity_ok],
+                     ["counting_identity", n, M, count_ok]]
     for n in range(1, bell_max + 1):
         enum = sum(1 for _ in pt.growth_strings(n))
-        match = enum == pt.bell_number(n)
-        rows.append(["bell_count", str(n), "", str(match)])
-        ok_all = ok_all and match
-    for k in range(1, 2 * n_max + 1):
-        rows.append(["moment", str(k), "", _fmt(dist.moment(k))])
-    _write_csv(os.path.join(out_dir, "partitions.csv"),
-               ["check", "n", "M", "result"], rows)
-    _write_json(os.path.join(out_dir, "partitions.json"),
-                {"all_exact": ok_all, "n_max": n_max, "M_max": M_max,
-                 "bell_max": bell_max})
-    if check and not ok_all:
-        raise CheckFailure("a combinatorial identity failed")
-    return 0
+        rows.append(["bell_count", n, "", enum == pt.bell_number(n)])
+    ok_all = all(ok for _, _, _, ok in rows[1:])
+    rows += [["moment", k, "", dist.moment(k)]
+             for k in range(1, 2 * n_max + 1)]
+    return ({"partitions.csv": rows,
+             "partitions.json": {"all_exact": ok_all, "n_max": n_max,
+                                 "M_max": M_max, "bell_max": bell_max}},
+            _first_failure((ok_all, "a combinatorial identity failed")))
 
 
 _COMMANDS = {
@@ -610,7 +562,12 @@ def main(argv=None) -> int:
             raise ConfigError("thread count must be at least 1")
         out_dir = args.out or cfg["output"]["dir"]
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.study](cfg, out_dir, threads, args.check)
+        files, failure = _COMMANDS[args.study](cfg, threads, args.check)
+        for name, content in files.items():
+            _write(os.path.join(out_dir, name), content)
+        if args.check and failure is not None:
+            raise CheckFailure(failure)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

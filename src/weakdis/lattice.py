@@ -184,14 +184,6 @@ class ProfileSpec:
             return out
         raise ConfigError("derivative order must be 0, 1 or 2")
 
-    def value(self, x):
-        """Profile value at positions x of shape (..., d)."""
-        x = np.asarray(x, dtype=float)
-        vals = self.b0 * np.ones(x.shape[:-1])
-        for j in range(x.shape[-1]):
-            vals = vals * self.axis_value(x[..., j])
-        return vals
-
     def norm_l1(self, d) -> float:
         """Full-space integral of |B| over R^d."""
         if self.kind == "gaussian":
@@ -234,16 +226,6 @@ class Wavepacket:
     @property
     def normalization(self) -> float:
         return (2.0 * self.sigma) ** (self.d / 4.0)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        x0 = np.asarray(self.x0)
-        a = np.asarray(self.a)
-        quad = np.sum((x - x0) ** 2, axis=-1)
-        phase = np.sum(x * a, axis=-1)
-        return self.normalization * np.exp(
-            -np.pi * self.sigma * quad + 2j * np.pi * phase
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -66,32 +66,39 @@ def versions() -> dict:
     }
 
 
-def run_studies(work: Path, src: Path = SRC) -> dict:
-    """Run every study once into work/<study>, with the package under src;
-    returns {"study/file": sha256}.  Raises RuntimeError naming the study
-    that did not exit 0."""
+def run_engine(study: str, cfg: Path, out: Path, src: Path = SRC,
+               *flags) -> dict:
+    """Run one study of the package under src with --threads 1 and one BLAS
+    thread, writing into out; returns {file name: sha256}.  Raises
+    RuntimeError naming the study when it does not exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
     env.pop("ENGINE_THREADS", None)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakdis", study, "--config", str(cfg),
+         "--out", str(out), "--threads", "1", *flags],
+        capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{study} ({cfg.name}) exited {proc.returncode}: "
+                           f"{proc.stderr.strip()}")
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+def run_studies(work: Path, src: Path = SRC) -> dict:
+    """Run every study once into work/<study>, with the package under src;
+    returns {"study/file": sha256}.  Raises RuntimeError naming the study
+    that did not exit 0."""
     digests = {}
     for name, study in STUDIES.items():
         cfg = work / f"{name}.json"
         cfg.write_text(json.dumps({"model": MODEL, "study": study,
                                    "output": {"per_partition": True}}))
-        out = work / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "weakdis", name, "--config", str(cfg),
-             "--out", str(out), "--threads", "1"],
-            capture_output=True, text=True, env=env)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{name} exited {proc.returncode}: "
-                               f"{proc.stderr.strip()}")
-        for path in sorted(out.iterdir()):
-            digests[f"{name}/{path.name}"] = hashlib.sha256(
-                path.read_bytes()).hexdigest()
+        for file, digest in run_engine(name, cfg, work / name, src).items():
+            digests[f"{name}/{file}"] = digest
     return digests
 
 

@@ -4,8 +4,9 @@ Each one computes its quantity another way than the engine does: a dense
 per-matrix LU solve, direct quadrature of a box-truncated Fourier integral,
 the realized potential's transform as an explicit sum over scatterers, the
 closed-form box norm of a wavepacket, a partition's chain sum by
-enumerating the box of its free steps, and a weighted sup refined by
-Nelder-Mead.
+enumerating the box of its free steps, a DOS coefficient as a direct sum
+over chain tuples with explicit conservation deltas, and a weighted sup
+refined by Nelder-Mead.
 """
 
 import math
@@ -25,7 +26,7 @@ from weakdis.lattice import (
     profile_fourier_periodized,
 )
 from weakdis.montecarlo import PoissonConfig, _as_hat
-from weakdis.partitions import SetPartition, apply_MA
+from weakdis.partitions import SetPartition, all_partitions, apply_MA
 
 
 def resolvent_matrix_element(H: np.ndarray, z, psi1, psi2,
@@ -85,6 +86,25 @@ def potential_fourier(config: PoissonConfig, profile: ProfileSpec,
         phases = np.exp(-2j * np.pi * (pts @ config.positions.T))
         out = bhat * (phases @ config.weights)
     return complex(out[0]) if scalar else out
+
+
+def profile_value(profile: ProfileSpec, x):
+    """Profile value at positions x of shape (..., d): b0 times the product
+    of the axis factors."""
+    x = np.asarray(x, dtype=float)
+    vals = profile.b0 * np.ones(x.shape[:-1])
+    for j in range(x.shape[-1]):
+        vals = vals * profile.axis_value(x[..., j])
+    return vals
+
+
+def wavepacket_value(psi: Wavepacket, x):
+    """Wavepacket value at positions x of shape (..., d)."""
+    x = np.asarray(x, dtype=float)
+    quad = np.sum((x - np.asarray(psi.x0)) ** 2, axis=-1)
+    phase = np.sum(x * np.asarray(psi.a), axis=-1)
+    return psi.normalization * np.exp(-np.pi * psi.sigma * quad
+                                      + 2j * np.pi * phase)
 
 
 def box_norm_sq(psi: Wavepacket, L) -> float:
@@ -178,3 +198,36 @@ def box_chain_sum(A, lattice, btab, zs):
     acc *= bprod[None, :]
     acc[~ok] = 0.0
     return np.sum(acc, axis=1), N * Nv
+
+
+def dos_trace_oracle(n, E, eta, lattice, profile, dist) -> float:
+    """The order-n DOS coefficient D_n = L^-d sum_u Im G_n(u, u; E + i eta)
+    by direct summation over the chain tuples k_0 = u, k_1, ..., k_{n-1},
+    k_n = u of the window: G_n(u, u) is L^{-dn} times the sum over the
+    tuples and over every partition A of {1..n} of
+    prod_b m_|b| L^{d|A|} [sum_{l in b} p_l = 0] prod_l B_hat(p_l / L)
+    prod_j 1/(nu(k_j) - z), with integer steps p_l = k_{l-1} - k_l.  The
+    profile transform is evaluated at each step, not read from a table."""
+    d, L, N = lattice.d, lattice.L, lattice.size
+    z = complex(E, eta)
+    grids = np.meshgrid(*([np.arange(N)] * max(n, 1)), indexing="ij")
+    k = [lattice.ints[g.ravel()] for g in grids]  # k_0 .. k_{n-1}
+    if n:
+        k.append(k[0])
+    steps = [k[l - 1] - k[l] for l in range(1, n + 1)]
+    bvals = [profile_fourier_periodized(profile, p / L, L) for p in steps]
+    resolvents = np.ones(len(k[0]), dtype=complex)
+    for kj in k:
+        resolvents /= 0.5 * np.sum((kj / L) ** 2, axis=-1) - z
+    weights = np.zeros(len(k[0]))
+    for A in all_partitions(n):
+        ok = np.ones(len(k[0]), dtype=bool)
+        term = np.full(len(k[0]), L ** (d * len(A.blocks)))
+        for b in A.blocks:
+            term *= dist.moment(len(b))
+            ok &= np.all(sum(steps[l - 1] for l in b) == 0, axis=-1)
+            for l in b:
+                term *= bvals[l - 1]
+        weights[ok] += term[ok]
+    total = math.fsum((weights * resolvents).imag.tolist())
+    return total / L ** (d * (n + 1))

@@ -125,10 +125,29 @@ def test_weighted_square_sum_equals_full_window_sum():
             total = math.fsum(math.fsum(row)
                               for row in vals.reshape(2 * X + 1, -1))
             rem = (8.0 * d * 3.0 ** (d - 1) * 2.0 ** (tau / 2.0)
-                   * L ** (4.0 - tau - d) * X ** (d + tau - 4.0)
+                   * L ** (4.0 - tau) * X ** (d + tau - 4.0)
                    / (4.0 - d - tau))
             assert _weighted_square_sum(E, tau, eta, d, L, X) == (
                 (total + rem) / L**d), (d, L, E, tau, eta)
+
+
+def test_weighted_square_sum_remainder_dominates_the_tail():
+    # the remainder bounds the whole sum past the window, so it is at least
+    # the sum over the shells X < ||m||_inf <= c X alone
+    E = 1.0
+    for d, L, tau, eta, X, c in [(1, 8.0, 0.0, 1.0, 64, 4),
+                                 (1, 8.0, 0.5, 1.0, 32, 4),
+                                 (2, 8.0, 0.0, 1.0, 32, 2),
+                                 (2, 8.0, 1.0, 0.1, 32, 2),
+                                 (3, 2.0, 0.0, 1.0, 8, 2)]:
+        pts = int_box(d, c * X)
+        a2 = np.sum(pts**2, axis=-1) / L**2
+        vals = (1.0 + a2) ** (tau / 2.0) / ((a2 - E) ** 2 + eta**2)
+        inside = np.max(np.abs(pts), axis=-1) <= X
+        window = math.fsum(vals[inside].tolist()) / L**d
+        shells = math.fsum(vals[~inside].tolist()) / L**d
+        rem = _weighted_square_sum(E, tau, eta, d, L, X) - window
+        assert rem >= shells, (d, L, tau, eta, X, rem, shells)
 
 
 def test_resolvent_sum_truncated_fails_at_resonance(gauss_profile):

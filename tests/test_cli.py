@@ -231,6 +231,25 @@ def _moments_law(moments):
     return {"weights": {"kind": "explicit-moments", "moments": moments}}
 
 
+# single-value range rules of the schema: (study, the key its error names, id)
+RANGE_RULES = [
+    (dict(MC_STUDY, lambdas=[]), "study.lambdas", "mc-lambdas-empty"),
+    (dict(MC_STUDY, eta=-0.3), "study.eta", "mc-eta-negative"),
+    (dict(MC_STUDY, E=0.0), "study.E", "mc-E-0"),
+    (dict(MC_STUDY, n_samples=1), "study.n_samples", "mc-n_samples-1"),
+    (dict(DOS_STUDY, lam=-0.05), "study.lam", "dos-lam-negative"),
+    (dict(DOS_STUDY, n_samples=1), "study.n_samples", "dos-n_samples-1"),
+    (dict(DOS_STUDY, order=-1), "study.order", "dos-order-negative"),
+    ({"kind": "bounds", "E_grid": [1.0, 0.0]}, "study.E_grid", "E_grid-0"),
+    ({"kind": "bounds", "eta_grid": [0.0]}, "study.eta_grid", "eta_grid-0"),
+    ({"kind": "scaling", "n": -1}, "study.n", "scaling-n-negative"),
+    ({"kind": "scaling", "E": 0.0}, "study.E", "scaling-E-0"),
+    ({"kind": "partitions", "n_max": 13}, "study.n_max", "n_max-13"),
+    ({"kind": "partitions", "bell_max": 13}, "study.bell_max",
+     "bell_max-13"),
+]
+
+
 @pytest.mark.parametrize("model, study, key", [
     ({"K": 2.7}, {"kind": "expand", "n_max": 1}, "model.K"),
     ({"d": True}, {"kind": "expand", "n_max": 1}, "model.d"),
@@ -258,13 +277,14 @@ def _moments_law(moments):
     ({}, {"kind": "scaling", "lambdas": [0.1, -0.01]}, "study.lambdas"),
     ({}, {"kind": "scaling", "eps": 3}, "study.eps"),
     ({}, {"kind": "scaling", "eps": 0}, "study.eps"),
-], ids=["K-fraction", "d-bool", "lambdas-string", "lambdas-string-entry",
-        "seed-fraction", "orders-fraction", "n_max-string", "z-string",
-        "d_grid-fraction", "bell_max-fraction", "L-string", "eta-nan",
-        "lambdas-nan-entry", "antithetic-string", "moments-string",
-        "moments-nan", "chi-not-a-mapping", "d_grid-4", "d_grid-0",
-        "L_grid-0", "L_grid-negative", "scaling-negative-lambda",
-        "scaling-eps-3", "scaling-eps-0"])
+] + [({}, study, key) for study, key, _ in RANGE_RULES],
+    ids=["K-fraction", "d-bool", "lambdas-string", "lambdas-string-entry",
+         "seed-fraction", "orders-fraction", "n_max-string", "z-string",
+         "d_grid-fraction", "bell_max-fraction", "L-string", "eta-nan",
+         "lambdas-nan-entry", "antithetic-string", "moments-string",
+         "moments-nan", "chi-not-a-mapping", "d_grid-4", "d_grid-0",
+         "L_grid-0", "L_grid-negative", "scaling-negative-lambda",
+         "scaling-eps-3", "scaling-eps-0"] + [i for _, _, i in RANGE_RULES])
 def test_exit_2_config_numbers_are_not_coerced(model, study, key, tmp_path,
                                                std_model_dict, capsys):
     # a fractional integer is not truncated, a string is not parsed, a
@@ -422,34 +442,39 @@ def test_mc_validate_single_lambda_check_fails(tmp_path, std_model_dict,
     assert report["intercept"] is None
 
 
-@pytest.mark.parametrize("study, check", [
-    ({"n_keep": -1}, False),
-    ({"control_orders": [1, 5]}, False),
-    ({"control_orders": [0]}, False),
-    ({"lambdas": [0.1, 0.1]}, True),
-    ({"lambdas": [0.1, 0.0]}, True),
-], ids=["n_keep", "order-5", "order-0", "one-lambda", "zero-lambda"])
-def test_mc_validate_config_checked_before_any_work(study, check, tmp_path,
-                                                    std_model_dict,
+@pytest.mark.parametrize("study, check, key", [
+    (dict(MC_STUDY, n_keep=-1), False, "study.n_keep"),
+    (dict(MC_STUDY, control_orders=[1, 5]), False, "study.control_orders"),
+    (dict(MC_STUDY, control_orders=[0]), False, "study.control_orders"),
+    (dict(MC_STUDY, lambdas=[0.1, 0.1]), True, "lambdas"),
+    (dict(MC_STUDY, lambdas=[0.1, 0.0]), True, "lambdas"),
+] + [(study, False, key) for study, key, _ in RANGE_RULES],
+    ids=["n_keep", "order-5", "order-0", "one-lambda", "zero-lambda"]
+    + [i for _, _, i in RANGE_RULES])
+def test_mc_validate_config_checked_before_any_work(study, check, key,
+                                                    tmp_path, std_model_dict,
                                                     monkeypatch, capsys):
-    # in-process, so a coefficient or a draw fails the test at once
-    from weakdis import coefficients, montecarlo
+    # mc-validate's rules and every single-value range rule of the other
+    # studies: in-process, so a coefficient, a realization, a bound, a
+    # window or a partition enumeration fails the test at once
+    from weakdis import bounds, coefficients, dos, montecarlo, partitions
 
     def no_work(*args, **kwargs):
         raise AssertionError("computed before checking the config")
 
-    monkeypatch.setattr(coefficients, "coefficient_T", no_work)
-    monkeypatch.setattr(montecarlo, "sample_config", no_work)
-    base = {"kind": "mc-validate", "n_keep": 2, "eta": 0.3, "E": 1.0,
-            "lambdas": [0.1, 0.05], "n_samples": 32, "seed": 9,
-            "antithetic": True, "control_orders": [1, 2]}
-    cfg = write_config(tmp_path / "c.json", std_model_dict,
-                       dict(base, **study))
-    code = cli.main(["mc-validate", "--config", str(cfg), "--out",
+    for module, name in [(coefficients, "coefficient_T"),
+                         (coefficients, "_chain_sum"), (dos, "_chain_sum"),
+                         (montecarlo, "sample_config"),
+                         (bounds, "main_error_bound_rhs"),
+                         (bounds, "_check_window"),
+                         (partitions, "growth_strings")]:
+        monkeypatch.setattr(module, name, no_work)
+    cfg = write_config(tmp_path / "c.json", std_model_dict, study)
+    code = cli.main([study["kind"], "--config", str(cfg), "--out",
                      str(tmp_path / "o")] + ["--check"] * check)
     err = capsys.readouterr().err
     assert code == 2, err
-    assert "n_keep" in err or "lambdas" in err
+    assert key in err
 
 
 def test_holds_needs_finite_evidence():
@@ -537,7 +562,7 @@ def test_expand_rejects_empty_or_negative_orders(tmp_path, std_model_dict,
                            {"kind": "expand", **study})
         proc = run_cli("expand", cfg, tmp_path / f"o{i}", "--check")
         assert proc.returncode == 2, (study, proc.returncode, proc.stderr)
-        assert "order" in proc.stderr
+        assert f"study.{next(iter(study))}" in proc.stderr
 
 
 def test_mc_validate_rejects_a_negative_coupling(tmp_path, std_model_dict,

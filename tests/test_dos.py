@@ -9,6 +9,7 @@ from weakdis import (
     BudgetError,
     ChiBump,
     ConfigError,
+    ProfileSpec,
     WeightDistribution,
     build_lattice,
     dos_coefficient_D,
@@ -20,6 +21,8 @@ from weakdis import (
     sample_config,
     trace_class_bound_check,
 )
+
+from reference import dos_trace_oracle
 
 
 def test_chibump_validation():
@@ -93,6 +96,32 @@ def test_one_chain_sum_per_live_row(std_lattice, gauss_profile, monkeypatch):
     dos_coefficient_D(3, 1.0, 0.3, std_lattice, gauss_profile, dist)
     assert calls == [row.partition for row in pt.live_partitions(3, dist)]
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("profile", [
+    ProfileSpec(kind="gaussian", b0=1.0, sigma=1.0),
+    ProfileSpec(kind="cosine-bump", b0=-0.8, r=0.4),
+], ids=["gaussian", "cosine-bump"])
+@pytest.mark.parametrize("dist", [
+    WeightDistribution(kind="rademacher"),
+    WeightDistribution(kind="centered-uniform"),
+    WeightDistribution(kind="explicit-moments", moments=(0.3, 1.1, 0.7)),
+], ids=["rademacher", "uniform", "moments"])
+def test_dos_coefficient_equals_trace_oracle(profile, dist, monkeypatch):
+    # every order up to the cap, against a direct sum over chain tuples;
+    # the moments law has m_1, m_3 != 0, so the odd orders live.  The
+    # truncation tail is not compared, so it is not computed
+    from weakdis import dos
+
+    monkeypatch.setattr(dos, "_dos_tail", lambda *args: 0.0)
+    for d, K, n_max in [(1, 1, 3), (1, 2, 3), (2, 1, 2)]:
+        lattice = build_lattice(d, 2.0, K)
+        for n in range(n_max + 1):
+            for E, eta in [(1.0, 0.3), (0.6, 0.05)]:
+                got = dos_coefficient_D(n, E, eta, lattice, profile, dist)
+                want = dos_trace_oracle(n, E, eta, lattice, profile, dist)
+                assert got.value == pytest.approx(want, rel=1e-12,
+                                                  abs=1e-15), (d, K, n, E)
 
 
 def test_order1_vanishes_for_centered_weights(std_lattice, gauss_profile,

@@ -23,7 +23,13 @@ from weakdis import (
 from weakdis import lattice as lat
 from weakdis.lattice import _int_grid, _weighted_sup, int_box
 
-from reference import box_norm_sq, fourier_quad_axis, nelder_mead_weighted_sup
+from reference import (
+    box_norm_sq,
+    fourier_quad_axis,
+    nelder_mead_weighted_sup,
+    profile_value,
+    wavepacket_value,
+)
 
 
 def test_lattice_point_count():
@@ -94,7 +100,8 @@ def test_gaussian_fourier_offcenter_matches_quadrature():
     prof = ProfileSpec(kind="gaussian", b0=2.0, sigma=0.5)
     L = 3.0
     for q in (0.0, 1.0 / 3.0, -2.0):
-        quad = fourier_quad_axis(lambda x: prof.value(x.reshape(-1, 1)), L, q)
+        quad = fourier_quad_axis(
+            lambda x: profile_value(prof, x.reshape(-1, 1)), L, q)
         got = profile_fourier_periodized(prof, np.array([[q]]), L)[0]
         assert abs(got - quad) < 5e-13
 
@@ -140,7 +147,8 @@ def test_wavepacket_fourier_matches_quadrature():
     psi = Wavepacket(x0=(0.25,), a=(1.0,), sigma=0.7)
     L = 2.0
     for q in (0.0, 0.5, -1.0):
-        quad = fourier_quad_axis(lambda x: psi.value(x.reshape(-1, 1)), L, q)
+        quad = fourier_quad_axis(
+            lambda x: wavepacket_value(psi, x.reshape(-1, 1)), L, q)
         got = wavepacket_fourier_periodized(psi, np.array([[q]]), L)[0]
         assert abs(got - quad) < 5e-12
 
@@ -159,7 +167,8 @@ def test_profile_periodized_value_wraps(gauss_profile):
     wrapped = profile_periodized_value(gauss_profile, np.array([0.3 + L]), L)
     assert wrapped == pytest.approx(inside, rel=1e-15)
     edge = profile_periodized_value(gauss_profile, np.array([-L / 2]), L)
-    assert edge == pytest.approx(gauss_profile.value(np.array([[-L / 2]]))[0])
+    assert edge == pytest.approx(
+        profile_value(gauss_profile, np.array([[-L / 2]]))[0])
 
 
 def test_periodized_coefficients_invert_to_wrapped_values(gauss_profile):

@@ -4,12 +4,15 @@
 
 Runs the six studies of ``tests/golden/record.py`` (its model and study
 blocks, ``--threads 1``, one BLAS thread) once with the package of the
-checkout at ``--root`` and once with this checkout's.  For every output
-file whose bytes differ it prints each CSV column or JSON key that changed
-and the largest relative change |a - b| / max(|a|, |b|) among its numbers
-(``text`` where a value that is not a number changed); a file that only one
-run wrote is named as such.  This is the sentence the ledger protocol asks
-for when a change re-records the ledger.  Exits 1 when any file differs.
+checkout at ``--root`` and once with this checkout's, and then each
+checkout's shipped ``configs/*.json`` with ``--check --threads 1`` (files
+``shipped/<config>/...``).  For every output file whose bytes differ it
+prints each CSV column or JSON key that changed and the largest relative
+change |a - b| / max(|a|, |b|) among its numbers (``text`` where a value
+that is not a number changed); a file that only one run wrote is named as
+such.  This is the sentence the ledger protocol asks for when a change
+re-records the ledger.  Exits 1 when any file differs; a run that does not
+exit 0 stops the tool with its study, config and exit code.
 Not a test module: the test suite does not collect it.
 """
 
@@ -99,18 +102,34 @@ def file_changes(path_old, path_new):
     return [("(bytes)", "text")]
 
 
+def run_shipped(work, root):
+    """Run every ``configs/*.json`` of the checkout at root with --check
+    into work/shipped/<config>, with that checkout's package; returns
+    {"shipped/<config>/file": sha256}."""
+    digests = {}
+    for cfg in sorted((root / "configs").glob("*.json")):
+        study = json.loads(cfg.read_text())["study"]["kind"]
+        out = work / "shipped" / cfg.stem
+        for file, digest in record.run_engine(study, cfg, out, root / "src",
+                                              "--check").items():
+            digests[f"shipped/{cfg.stem}/{file}"] = digest
+    return digests
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, required=True,
-                        help="checkout to compare against (its src/ runs)")
+                        help="checkout to compare against (its src/ runs, "
+                             "on its configs/ too)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         runs = {}
-        for label, src in (("parent", args.root.resolve() / "src"),
-                           ("new", record.SRC)):
+        for label, root in (("parent", args.root.resolve()),
+                            ("new", record.SRC.parent)):
             work = Path(tmp) / label
             work.mkdir()
-            runs[label] = (work, record.run_studies(work, src))
+            runs[label] = (work, {**record.run_studies(work, root / "src"),
+                                  **run_shipped(work, root)})
         (old_dir, old), (new_dir, new) = runs["parent"], runs["new"]
         moved = 0
         for name in sorted(old.keys() | new.keys()):
